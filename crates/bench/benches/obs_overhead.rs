@@ -14,15 +14,19 @@
 //!   handful of lock-free ring writes per operator lifetime — not per
 //!   getnext);
 //! * `timed` — counters plus two `Instant::now()` reads *and* a
-//!   latency-histogram record per getnext.
+//!   latency-histogram record per getnext;
+//! * `monitored` — no observability, but the progress monitor the paper
+//!   is about: `dne`/`pmax`/`safe` checkpointed at the default stride
+//!   (about 200 checkpoints per run), degree 1.
 //!
-//! Samples are interleaved (bare, counters, spans, timed, bare, ...) so
-//! clock drift and thermal effects hit all four alike. The *counters*
-//! and *spans* medians must each stay within `QP_OBS_BUDGET_PCT`
-//! percent (default 5) of bare, or the bench exits non-zero — this is
-//! the CI overhead gate, and it is what keeps spans default-on. The
-//! timed mode is reported for information and not gated (its per-call
-//! cost is why timing is opt-in).
+//! Samples are interleaved (bare, counters, spans, timed, monitored,
+//! bare, ...) so clock drift and thermal effects hit all five alike. The
+//! *counters*, *spans* and *monitored* medians must each stay within
+//! `QP_OBS_BUDGET_PCT` percent (default 5) of bare, or the bench exits
+//! non-zero — this is the CI overhead gate, and it is what keeps spans
+//! default-on and progress monitoring cheap. The timed mode is reported
+//! for information and not gated (its per-call cost is why timing is
+//! opt-in).
 //!
 //! Results land in `BENCH_overhead.json` at the workspace root, the
 //! first point of the repo's performance trajectory.
@@ -35,6 +39,9 @@ use qp_exec::executor::QueryRun;
 use qp_exec::{Plan, RunControls, SpanAttach};
 use qp_obs::json::Obj;
 use qp_obs::{QueryObs, SpanSink};
+use qp_progress::estimators::{Dne, Pmax, Safe};
+use qp_progress::monitor::ProgressMonitor;
+use qp_stats::DbStats;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,6 +53,7 @@ enum Mode {
     Counters,
     Spans,
     Timed,
+    Monitored,
 }
 
 impl Mode {
@@ -55,21 +63,48 @@ impl Mode {
             Mode::Counters => "counters",
             Mode::Spans => "spans",
             Mode::Timed => "timed",
+            Mode::Monitored => "monitored",
         }
     }
 }
 
-const MODES: [Mode; 4] = [Mode::Bare, Mode::Counters, Mode::Spans, Mode::Timed];
+const MODES: [Mode; 5] = [
+    Mode::Bare,
+    Mode::Counters,
+    Mode::Spans,
+    Mode::Timed,
+    Mode::Monitored,
+];
 
 /// One timed execution of the pipeline; returns (nanoseconds, total
-/// getnext calls, rows summed over the per-node obs counters — 0 when
-/// bare). The executor's `Counters::total()` counts *producing* getnext
-/// calls (the paper's `Curr`), which is exactly the obs `rows` counter
-/// summed over nodes — the `calls` counter additionally sees each
-/// node's final exhausted call.
-fn run_once(plan: &Plan, db: &qp_storage::Database, mode: Mode) -> (u64, u64, u64) {
+/// getnext calls, rows summed over the per-node obs counters — `None`
+/// without obs). The executor's `Counters::total()` counts *producing*
+/// getnext calls (the paper's `Curr`), which is exactly the obs `rows`
+/// counter summed over nodes — the `calls` counter additionally sees
+/// each node's final exhausted call.
+fn run_once(
+    plan: &Plan,
+    db: &qp_storage::Database,
+    stats: &DbStats,
+    mode: Mode,
+) -> (u64, u64, Option<u64>) {
+    if mode == Mode::Monitored {
+        let started = Instant::now();
+        let monitor = ProgressMonitor::for_plan(
+            plan,
+            Some(stats),
+            vec![Box::new(Dne), Box::new(Pmax), Box::new(Safe)],
+            None,
+        );
+        let (out, trace) = monitor
+            .run(plan, db, RunControls::default())
+            .expect("query runs");
+        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        std::hint::black_box(trace);
+        return (ns, out.total_getnext, None);
+    }
     let obs = match mode {
-        Mode::Bare => None,
+        Mode::Bare | Mode::Monitored => None,
         Mode::Counters | Mode::Spans => Some(QueryObs::new(0, plan.op_labels(), false, None)),
         Mode::Timed => Some(QueryObs::new(0, plan.op_labels(), true, None)),
     };
@@ -92,7 +127,7 @@ fn run_once(plan: &Plan, db: &qp_storage::Database, mode: Mode) -> (u64, u64, u6
     let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     std::hint::black_box(rows);
     let total = run.context().counters().total();
-    let counted = obs.map_or(0, |o| o.snapshot().iter().map(|s| s.rows).sum());
+    let counted = obs.map(|o| o.snapshot().iter().map(|s| s.rows).sum());
     (ns, total, counted)
 }
 
@@ -115,19 +150,22 @@ fn main() {
         seed: 11,
     });
     let plan = qp_workloads::tpch::tpch_query(3, &t);
+    let stats = DbStats::build(&t.db);
 
     if !full {
         // Smoke mode (`cargo test`): one sanity pass per mode, no timing
-        // claims — just prove the three configurations agree on the work
-        // done and that counters count every call.
-        let (_, bare_total, _) = run_once(&plan, &t.db, Mode::Bare);
-        for mode in [Mode::Counters, Mode::Spans, Mode::Timed] {
-            let (_, total, counted) = run_once(&plan, &t.db, mode);
+        // claims — just prove the configurations agree on the work done
+        // and that counters count every call.
+        let (_, bare_total, _) = run_once(&plan, &t.db, &stats, Mode::Bare);
+        for mode in &MODES[1..] {
+            let (_, total, counted) = run_once(&plan, &t.db, &stats, *mode);
             assert_eq!(total, bare_total, "{mode:?} changed the work done");
-            assert_eq!(
-                counted, total,
-                "{mode:?} counters missed producing getnext calls"
-            );
+            if let Some(counted) = counted {
+                assert_eq!(
+                    counted, total,
+                    "{mode:?} counters missed producing getnext calls"
+                );
+            }
         }
         println!("obs_overhead: smoke mode (run `cargo bench` to measure and gate)");
         return;
@@ -140,18 +178,18 @@ fn main() {
     const SAMPLES: usize = 31;
 
     // Warm caches so the first interleaved round isn't charged for page
-    // faults, then sample all three modes round-robin.
+    // faults, then sample all modes round-robin.
     for mode in MODES {
-        run_once(&plan, &t.db, mode);
+        run_once(&plan, &t.db, &stats, mode);
     }
-    let mut ns: [Vec<u64>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+    let mut ns: [Vec<u64>; 5] = Default::default();
     let mut total_getnext = 0;
     for _ in 0..SAMPLES {
         for (i, mode) in MODES.iter().enumerate() {
-            let (t_ns, total, counted) = run_once(&plan, &t.db, *mode);
+            let (t_ns, total, counted) = run_once(&plan, &t.db, &stats, *mode);
             ns[i].push(t_ns);
             total_getnext = total;
-            if *mode != Mode::Bare {
+            if let Some(counted) = counted {
                 assert_eq!(
                     counted, total,
                     "{mode:?} counters missed producing getnext calls"
@@ -164,14 +202,16 @@ fn main() {
     let counters = median(&mut ns[1]);
     let spans = median(&mut ns[2]);
     let timed = median(&mut ns[3]);
+    let monitored = median(&mut ns[4]);
     let pct = |m: u64| (m as f64 - bare as f64) / bare as f64 * 100.0;
     let counters_pct = pct(counters);
     let spans_pct = pct(spans);
     let timed_pct = pct(timed);
+    let monitored_pct = pct(monitored);
 
     println!("obs_overhead: TPC-H Q3, scale {scale}, {SAMPLES} interleaved samples");
     println!("  getnext calls per run: {total_getnext}");
-    for (mode, m) in MODES.iter().zip([bare, counters, spans, timed]) {
+    for (mode, m) in MODES.iter().zip([bare, counters, spans, timed, monitored]) {
         println!(
             "  {:<10} median {:>12.3} ms{}",
             mode.name(),
@@ -184,7 +224,7 @@ fn main() {
         );
     }
 
-    let pass = counters_pct <= budget_pct && spans_pct <= budget_pct;
+    let pass = counters_pct <= budget_pct && spans_pct <= budget_pct && monitored_pct <= budget_pct;
     let json = Obj::new()
         .str("bench", "obs_overhead")
         .str("query", "tpch-q3")
@@ -195,9 +235,11 @@ fn main() {
         .u64("counters_median_ns", counters)
         .u64("spans_median_ns", spans)
         .u64("timed_median_ns", timed)
+        .u64("monitored_median_ns", monitored)
         .f64("counters_overhead_pct", counters_pct)
         .f64("spans_overhead_pct", spans_pct)
         .f64("timed_overhead_pct", timed_pct)
+        .f64("monitored_overhead_pct", monitored_pct)
         .f64("budget_pct", budget_pct)
         .str("gate", if pass { "pass" } else { "fail" })
         .finish();
@@ -209,13 +251,13 @@ fn main() {
 
     if !pass {
         eprintln!(
-            "OVERHEAD GATE FAILED: counters {counters_pct:.2} % / spans {spans_pct:.2} % \
-             vs budget {budget_pct} %"
+            "OVERHEAD GATE FAILED: counters {counters_pct:.2} % / spans {spans_pct:.2} % / \
+             monitored {monitored_pct:.2} % vs budget {budget_pct} %"
         );
         std::process::exit(1);
     }
     println!(
-        "  gate: counters {counters_pct:+.2} %, spans {spans_pct:+.2} % \
-         <= {budget_pct} % budget — PASS"
+        "  gate: counters {counters_pct:+.2} %, spans {spans_pct:+.2} %, \
+         monitored {monitored_pct:+.2} % <= {budget_pct} % budget — PASS"
     );
 }

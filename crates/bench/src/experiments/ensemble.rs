@@ -48,7 +48,7 @@ use qp_obs::QueryObs;
 use qp_progress::adversary::AdversarialPair;
 use qp_progress::estimators::{Dne, Ensemble, EnsembleStats, EstTotal, Pmax, Safe};
 use qp_progress::metrics::error_stats;
-use qp_progress::monitor::{run_with_progress_probed, ProgressTrace};
+use qp_progress::monitor::{ProgressMonitor, ProgressTrace};
 use qp_progress::{ProgressEstimator, RegimeFlags, Trust};
 use qp_stats::DbStats;
 use qp_storage::Database;
@@ -178,9 +178,9 @@ fn run_cell(
         obs: obs.clone(),
         ..RunControls::default()
     };
-    let probe: Option<Box<dyn Fn() -> u8 + Send>> = if obs.is_some() || pool.is_some() {
-        let obs = obs.clone();
-        Some(Box::new(move || {
+    let mut monitor = ProgressMonitor::for_plan(&plan, Some(stats), suite(shared), None);
+    if obs.is_some() || pool.is_some() {
+        monitor.set_regime_probe(Box::new(move || {
             let mut bits = 0u8;
             if let Some(obs) = &obs {
                 if obs.snapshot().iter().any(|n| n.faults > 0) {
@@ -194,14 +194,12 @@ fn run_cell(
                 }
             }
             bits
-        }))
-    } else {
-        None
-    };
+        }));
+    }
 
-    let (_, trace) =
-        run_with_progress_probed(&plan, db, Some(stats), suite(shared), None, controls, probe)
-            .expect("matrix cell runs to completion");
+    let (_, trace) = monitor
+        .run(&plan, db, controls)
+        .expect("matrix cell runs to completion");
     shared.record_trace(&trace);
 
     let mut err = [f64::NAN; 5];

@@ -17,7 +17,8 @@
 //! * [`dne_expected_error`] Monte-Carlo-verifies Theorem 3 (E\[err\] = 0
 //!   under random order).
 
-use qp_exec::{Counters, ExecEvent, NodeId, Observer};
+use qp_exec::executor::QueryRun;
+use qp_exec::{Counters, ExecTuning, NodeId, Observer, RunControls};
 use qp_testkit::rng::TestRng;
 
 /// A per-driver-tuple work distribution in a fixed order: `work[i]` is the
@@ -145,6 +146,9 @@ pub fn predictive_fraction(work: &[u64], c: f64, trials: usize, seed: u64) -> f6
 /// Attribution note: all work between driver row `i` and driver row `i+1`
 /// is charged to tuple `i`, matching the paper's "work done for that
 /// tuple" notion for pipelined plans.
+///
+/// The profiler must be checkpointed after every row — stride 1, one-row
+/// batches — as [`profile_work`] does.
 #[derive(Debug)]
 pub struct WorkProfiler {
     driver: NodeId,
@@ -181,12 +185,10 @@ impl WorkProfiler {
 }
 
 impl Observer for WorkProfiler {
-    fn on_event(&mut self, event: ExecEvent, counters: &Counters) {
-        if let ExecEvent::RowProduced(node) = event {
-            self.total = counters.total();
-            if node == self.driver {
-                self.marks.push(self.total);
-            }
+    fn checkpoint(&mut self, counters: &Counters) {
+        self.total = counters.total();
+        if counters.node(self.driver) > self.marks.len() as u64 {
+            self.marks.push(self.total);
         }
     }
 }
@@ -207,28 +209,19 @@ pub fn profile_work(plan: &qp_exec::Plan, db: &qp_storage::Database) -> Result<W
         ));
     }
     let driver = pipelines[0].sources[0].node();
-    let profiler = std::sync::Arc::new(std::sync::Mutex::new(WorkProfiler::new(driver)));
-    struct Shared(std::sync::Arc<std::sync::Mutex<WorkProfiler>>);
-    impl Observer for Shared {
-        fn on_event(&mut self, event: ExecEvent, counters: &Counters) {
-            self.0
-                .lock()
-                .expect("profiler lock")
-                .on_event(event, counters);
-        }
-    }
-    qp_exec::run_query(
-        plan,
-        db,
-        Some(Box::new(Shared(std::sync::Arc::clone(&profiler)))),
-    )
-    .map_err(|e| e.to_string())?;
-    let wv = profiler
-        .lock()
-        .expect("profiler lock")
+    let controls = RunControls {
+        tuning: ExecTuning {
+            batch_rows: 1,
+            ..ExecTuning::default()
+        },
+        ..RunControls::default()
+    };
+    let (_, profiler) = QueryRun::with_controls(plan, db, controls)
+        .and_then(|mut run| run.run_observed(WorkProfiler::new(driver), 1))
+        .map_err(|e| e.to_string())?;
+    profiler
         .work_vector()
-        .ok_or_else(|| "driver produced no rows".to_string())?;
-    Ok(wv)
+        .ok_or_else(|| "driver produced no rows".to_string())
 }
 
 /// Monte-Carlo estimate of Var(err) of dne at checkpoint `k` over random

@@ -30,8 +30,10 @@
 //! scans, and finalization as operators exhaust.
 //!
 //! [`monitor::ProgressMonitor`] plugs all of this into the executor as an
-//! observer, snapshotting every estimator at a configurable getnext
-//! stride; [`metrics`] scores the recorded traces (ratio error, absolute
+//! observer: at each checkpoint — every `stride` getnext calls, at the
+//! first batch boundary past the mark, and whenever an operator becomes
+//! exhausted — it reads the executor's per-node counters and snapshots
+//! every estimator; [`metrics`] scores the recorded traces (ratio error, absolute
 //! error, the (τ, δ) threshold requirement of Section 2.5); [`analysis`]
 //! contains the order-predictiveness machinery of Section 4.2 (Theorems 3
 //! and 4); and [`adversary`] constructs the twin instances of Example 1

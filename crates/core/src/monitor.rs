@@ -1,18 +1,20 @@
 //! The progress monitor: an executor [`Observer`] that maintains bounds
-//! and snapshots every estimator at a fixed getnext stride.
+//! and snapshots every estimator at each checkpoint.
 //!
 //! This is the complete "Progress Estimator" box of the paper's Figure 1:
-//! it receives the execution feedback (getnext events), holds the plan
-//! and the statistics-derived state, and produces estimates. After the
-//! run completes, [`ProgressMonitor::into_trace`] pairs every snapshot
-//! with the now-known true progress, yielding the series plotted in the
-//! paper's figures.
+//! at every checkpoint it reads the execution feedback (the executor's
+//! per-node getnext counters and exhausted flags), holds the plan and the
+//! statistics-derived state, and produces estimates. [`ProgressMonitor::run`]
+//! executes a plan under the monitor and pairs every snapshot with the
+//! now-known true progress, yielding the series plotted in the paper's
+//! figures.
 
 use crate::bounds::BoundsTracker;
 use crate::estimators::{EstimatorContext, ProgressEstimator};
 use crate::model::PlanMeta;
 use crate::shared::{clamp_snapshot, Health, ProgressCell, RegimeFlags, Trust};
-use qp_exec::{Counters, ExecEvent, Observer};
+use qp_exec::executor::{QueryOutput, QueryRun};
+use qp_exec::{Counters, ExecResult, Observer, Plan, RunControls};
 use qp_obs::{EventKind, FlightRecorder, TraceBuffer};
 use std::sync::Arc;
 
@@ -45,12 +47,13 @@ pub struct ProgressMonitor {
     estimators: Vec<Box<dyn ProgressEstimator>>,
     names: Vec<&'static str>,
     stride: u64,
+    /// The counters as read at the latest checkpoint.
     produced: Vec<u64>,
     exhausted: Vec<bool>,
+    /// `Curr`: the sum of `produced`.
     curr: u64,
     snapshots: Vec<Snapshot>,
     publisher: Option<Arc<ProgressCell>>,
-    degraded: bool,
     /// Flight recorder (+ the session id to stamp events with) that
     /// snapshot publishes and clamp degradations are reported into.
     recorder: Option<(Arc<FlightRecorder>, u64)>,
@@ -75,6 +78,29 @@ pub struct ProgressMonitor {
 }
 
 impl ProgressMonitor {
+    /// A monitor for `plan` (bounds refined by `stats` when given). The
+    /// stride defaults to `total_rows_hint / 200`, at least 1: roughly 200
+    /// points per run, like the paper's plots.
+    pub fn for_plan(
+        plan: &Plan,
+        stats: Option<&qp_stats::DbStats>,
+        estimators: Vec<Box<dyn ProgressEstimator>>,
+        stride: Option<u64>,
+    ) -> ProgressMonitor {
+        let meta = PlanMeta::from_plan(plan);
+        let bounds = BoundsTracker::new(plan, stats);
+        let stride = stride.unwrap_or_else(|| {
+            let hint: u64 = meta
+                .scanned_leaves
+                .iter()
+                .filter_map(|&(_, c)| c)
+                .sum::<u64>()
+                .max(200);
+            (hint / 200).max(1)
+        });
+        ProgressMonitor::new(meta, bounds, estimators, stride)
+    }
+
     /// Creates a monitor snapshotting every `stride` getnext calls.
     ///
     /// `meta` should come from a plan annotated with optimizer estimates;
@@ -103,7 +129,6 @@ impl ProgressMonitor {
             curr: 0,
             snapshots: Vec::new(),
             publisher: None,
-            degraded: false,
             recorder: None,
             trace_sink: None,
             started: std::time::Instant::now(),
@@ -127,11 +152,6 @@ impl ProgressMonitor {
     /// pool (thrash) without the monitor depending on either.
     pub fn set_regime_probe(&mut self, probe: Box<dyn Fn() -> u8 + Send>) {
         self.regime_probe = Some(probe);
-    }
-
-    /// The current (monotone) trust level of the estimate stream.
-    pub fn trust(&self) -> Trust {
-        self.trust
     }
 
     /// Attaches a [`ProgressCell`] that every snapshot is also published
@@ -173,11 +193,15 @@ impl ProgressMonitor {
         &self.names
     }
 
-    /// `true` if any snapshot so far needed clamping into the valid
-    /// envelope (contradicted bounds or a non-finite estimate) — the
-    /// trace-side mirror of [`Health::Degraded`] on the published cell.
-    pub fn degraded(&self) -> bool {
-        self.degraded
+    /// Reads every node's exhausted flag, then its count (the flag's
+    /// Acquire load makes an exhausted node's count final), and sets
+    /// `curr` to the sum read.
+    fn read(&mut self, counters: &Counters) {
+        for node in 0..self.produced.len() {
+            self.exhausted[node] = counters.is_exhausted(node);
+            self.produced[node] = counters.node(node);
+        }
+        self.curr = self.produced.iter().sum();
     }
 
     fn snapshot(&mut self) {
@@ -207,7 +231,6 @@ impl ProgressMonitor {
         // a contradicted envelope or NaN estimate degrades the stream but
         // never reaches a reader (or a CSV export) unclamped.
         if clamp_snapshot(self.curr, &mut lb, &mut ub, &mut estimates) {
-            self.degraded = true;
             self.regime.set(RegimeFlags::CONTRADICTED);
             if let Some(cell) = &self.publisher {
                 cell.raise_health(Health::Degraded);
@@ -245,7 +268,7 @@ impl ProgressMonitor {
             sink.push(snap.curr, snap.lb, snap.ub, &snap.estimates);
         }
         // Dedupe: consecutive snapshots at an unchanged `curr` (e.g. a
-        // stride point immediately followed by `Exhausted` events, or
+        // stride checkpoint immediately followed by exhaustions, or
         // several nodes exhausting on the same getnext call) would emit
         // repeated rows in traces and CSV exports. Keep only the latest —
         // it carries the freshest bound refinements.
@@ -255,37 +278,42 @@ impl ProgressMonitor {
         }
     }
 
-    /// Finalizes into a trace once `total(Q)` is known (from the completed
-    /// run's counters).
-    pub fn into_trace(self, total: u64) -> ProgressTrace {
-        ProgressTrace {
-            names: self.names,
-            snapshots: self.snapshots,
-            total,
-        }
+    /// Runs `plan` over `db` under `controls` with this monitor
+    /// checkpointed, returning the query output and the finished trace.
+    /// The trace ends with a final snapshot at 100%.
+    ///
+    /// The run is driven in batches of at most `stride` rows, so a run of
+    /// `total(Q)` getnext calls gets about `total(Q) / stride` stride
+    /// checkpoints whatever `controls.tuning.batch_rows` says; stride 1
+    /// stays exact per row.
+    pub fn run(
+        self,
+        plan: &Plan,
+        db: &qp_storage::Database,
+        mut controls: RunControls,
+    ) -> ExecResult<(QueryOutput, ProgressTrace)> {
+        let stride = self.stride;
+        let batch = &mut controls.tuning.batch_rows;
+        *batch = (*batch).min(usize::try_from(stride).unwrap_or(usize::MAX));
+        let mut run = QueryRun::with_controls(plan, db, controls)?;
+        let (rows, mut monitor) = run.run_observed(self, stride)?;
+        let out = run.output(rows);
+        // One more checkpoint on the final counters, so the trace always
+        // ends at 100%.
+        monitor.checkpoint(run.context().counters());
+        let trace = ProgressTrace {
+            names: monitor.names,
+            snapshots: monitor.snapshots,
+            total: monitor.curr,
+        };
+        Ok((out, trace))
     }
 }
 
 impl Observer for ProgressMonitor {
-    fn on_event(&mut self, event: ExecEvent, _counters: &Counters) {
-        match event {
-            ExecEvent::Open(_) => {}
-            ExecEvent::RowProduced(node) => {
-                self.produced[node] += 1;
-                self.curr += 1;
-                if self.curr.is_multiple_of(self.stride) {
-                    self.snapshot();
-                }
-            }
-            ExecEvent::Exhausted(node) => {
-                self.exhausted[node] = true;
-                // Exhaustion is a phase transition (a pipeline boundary
-                // draining): snapshot immediately so traces capture the
-                // bound refinements these events trigger, regardless of
-                // where the stride falls.
-                self.snapshot();
-            }
-        }
+    fn checkpoint(&mut self, counters: &Counters) {
+        self.read(counters);
+        self.snapshot();
     }
 }
 
@@ -383,116 +411,16 @@ impl ProgressTrace {
 }
 
 /// Convenience wrapper: run `plan` with the given estimators, returning
-/// the query output and the finished trace. Snapshot stride defaults to
-/// `total_rows_hint / 200` capped to at least 1 — roughly 200 points per
-/// run, like the paper's plots.
+/// the query output and the finished trace. The stride defaults as in
+/// [`ProgressMonitor::for_plan`].
 pub fn run_with_progress(
-    plan: &qp_exec::Plan,
+    plan: &Plan,
     db: &qp_storage::Database,
     stats: Option<&qp_stats::DbStats>,
     estimators: Vec<Box<dyn ProgressEstimator>>,
     stride: Option<u64>,
-) -> qp_exec::ExecResult<(qp_exec::executor::QueryOutput, ProgressTrace)> {
-    run_with_progress_controls(
-        plan,
-        db,
-        stats,
-        estimators,
-        stride,
-        qp_exec::RunControls::default(),
-    )
-}
-
-/// Like [`run_with_progress`], but under caller-supplied
-/// [`qp_exec::RunControls`] — the entry point for checkpoint-level
-/// equivalence tests that need to vary the (results-neutral) morsel and
-/// batch sizing while watching every estimator reading.
-pub fn run_with_progress_controls(
-    plan: &qp_exec::Plan,
-    db: &qp_storage::Database,
-    stats: Option<&qp_stats::DbStats>,
-    estimators: Vec<Box<dyn ProgressEstimator>>,
-    stride: Option<u64>,
-    controls: qp_exec::RunControls,
-) -> qp_exec::ExecResult<(qp_exec::executor::QueryOutput, ProgressTrace)> {
-    run_with_progress_probed(plan, db, stats, estimators, stride, controls, None)
-}
-
-/// Like [`run_with_progress_controls`], but with an optional regime
-/// probe (see [`ProgressMonitor::set_regime_probe`]) installed before
-/// the run — the standalone mirror of the service's fault/thrash
-/// wiring, for benches and tests that drive hostile conditions without
-/// a `qp-service` session around them.
-pub fn run_with_progress_probed(
-    plan: &qp_exec::Plan,
-    db: &qp_storage::Database,
-    stats: Option<&qp_stats::DbStats>,
-    estimators: Vec<Box<dyn ProgressEstimator>>,
-    stride: Option<u64>,
-    controls: qp_exec::RunControls,
-    probe: Option<Box<dyn Fn() -> u8 + Send>>,
-) -> qp_exec::ExecResult<(qp_exec::executor::QueryOutput, ProgressTrace)> {
-    let meta = PlanMeta::from_plan(plan);
-    let bounds = BoundsTracker::new(plan, stats);
-    let stride = stride.unwrap_or_else(|| {
-        let hint: u64 = meta
-            .scanned_leaves
-            .iter()
-            .filter_map(|&(_, c)| c)
-            .sum::<u64>()
-            .max(200);
-        (hint / 200).max(1)
-    });
-    let mut inner = ProgressMonitor::new(meta, bounds, estimators, stride);
-    if let Some(probe) = probe {
-        inner.set_regime_probe(probe);
-    }
-    let monitor = Arc::new(std::sync::Mutex::new(inner));
-
-    let mut run = qp_exec::executor::QueryRun::with_controls(plan, db, controls)?;
-    run.set_observer(Box::new(SharedMonitor(Arc::clone(&monitor))));
-    let rows = run.run()?;
-    let out = qp_exec::executor::QueryOutput {
-        node_counts: run.context().counters().snapshot(),
-        total_getnext: run.context().counters().total(),
-        rows,
-    };
-    drop(run.take_observer());
-    let monitor = Arc::try_unwrap(monitor)
-        .ok()
-        .expect("executor dropped its observer handle")
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    Ok((out, monitor.into_trace_with_final()))
-}
-
-/// Observer shim sharing a [`ProgressMonitor`] between the executor (which
-/// owns its observer) and an outside party that wants the monitor back
-/// after — or a live view during — the run. Used by `run_with_progress`
-/// here and by the session workers in `qp-service`.
-pub struct SharedMonitor(pub Arc<std::sync::Mutex<ProgressMonitor>>);
-
-impl Observer for SharedMonitor {
-    fn on_event(&mut self, event: ExecEvent, counters: &Counters) {
-        // Recover from poisoning: an injected panic that unwound through a
-        // previous event must not take down later queries sharing the
-        // monitor handle — the monitor's counters are updated before any
-        // code that can panic, so the state is usable.
-        self.0
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .on_event(event, counters);
-    }
-}
-
-impl ProgressMonitor {
-    /// Takes one final snapshot (so the trace always ends at 100%) and
-    /// finalizes using the monitor's own `curr` as `total(Q)`.
-    pub fn into_trace_with_final(mut self) -> ProgressTrace {
-        self.snapshot();
-        let total = self.curr;
-        self.into_trace(total)
-    }
+) -> ExecResult<(QueryOutput, ProgressTrace)> {
+    ProgressMonitor::for_plan(plan, stats, estimators, stride).run(plan, db, RunControls::default())
 }
 
 #[cfg(test)]
@@ -617,21 +545,11 @@ mod tests {
         let cell = Arc::new(ProgressCell::new(vec!["pmax"]));
         monitor.set_publisher(Arc::clone(&cell));
         assert!(cell.read().is_none());
-        let monitor = Arc::new(std::sync::Mutex::new(monitor));
-        let (out, _) = qp_exec::run_query(
-            &plan,
-            &db,
-            Some(Box::new(SharedMonitor(Arc::clone(&monitor)))),
-        )
-        .unwrap();
+        let (out, _) = monitor
+            .run(&plan, &db, qp_exec::RunControls::default())
+            .unwrap();
         // The cell holds the last published snapshot; finalization pushes
         // the 100% point.
-        Arc::try_unwrap(monitor)
-            .ok()
-            .unwrap()
-            .into_inner()
-            .unwrap()
-            .into_trace_with_final();
         let last = cell.read().unwrap();
         assert_eq!(last.curr, out.total_getnext);
         assert_eq!(last.lb, out.total_getnext);
@@ -665,13 +583,9 @@ mod tests {
         let sink = Arc::new(TraceBuffer::new(4096, 1));
         monitor.set_recorder(Arc::clone(&recorder), 42);
         monitor.set_trace_sink(Arc::clone(&sink));
-        let monitor = Arc::new(std::sync::Mutex::new(monitor));
-        let (out, _) = qp_exec::run_query(
-            &plan,
-            &db,
-            Some(Box::new(SharedMonitor(Arc::clone(&monitor)))),
-        )
-        .unwrap();
+        let (out, _) = monitor
+            .run(&plan, &db, qp_exec::RunControls::default())
+            .unwrap();
         let published = recorder.recorded_of(EventKind::SnapshotPublished);
         assert!(
             published > 10,
@@ -735,19 +649,9 @@ mod tests {
         // A fault fires before the first checkpoint (e.g. the service's
         // probe saw the flight recorder) — raised from outside.
         regime.set(RegimeFlags::FAULT);
-        let monitor = Arc::new(std::sync::Mutex::new(monitor));
-        qp_exec::run_query(
-            &plan,
-            &db,
-            Some(Box::new(SharedMonitor(Arc::clone(&monitor)))),
-        )
-        .unwrap();
-        let trace = Arc::try_unwrap(monitor)
-            .ok()
-            .unwrap()
-            .into_inner()
-            .unwrap()
-            .into_trace_with_final();
+        let (_, trace) = monitor
+            .run(&plan, &db, qp_exec::RunControls::default())
+            .unwrap();
         for s in trace.snapshots() {
             // Trust never drops below Fallback (the ensemble delegated
             // on the very first checkpoint) …
@@ -772,17 +676,10 @@ mod tests {
         let mut monitor = ProgressMonitor::new(meta, bounds, vec![Box::new(Pmax)], 10);
         monitor.set_regime_probe(Box::new(|| RegimeFlags::THRASH));
         let regime = monitor.regime();
-        let monitor = Arc::new(std::sync::Mutex::new(monitor));
-        qp_exec::run_query(
-            &plan,
-            &db,
-            Some(Box::new(SharedMonitor(Arc::clone(&monitor)))),
-        )
-        .unwrap();
-        let mon = Arc::try_unwrap(monitor).ok().unwrap().into_inner().unwrap();
-        assert_eq!(mon.trust(), Trust::Degraded);
+        let (_, trace) = monitor
+            .run(&plan, &db, qp_exec::RunControls::default())
+            .unwrap();
         assert_eq!(regime.bits() & RegimeFlags::THRASH, RegimeFlags::THRASH);
-        let trace = mon.into_trace_with_final();
         assert!(trace.snapshots().iter().all(|s| s.trust == Trust::Degraded));
     }
 

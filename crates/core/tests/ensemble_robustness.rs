@@ -27,7 +27,7 @@ use qp_exec::plan::{JoinType, Plan, PlanBuilder};
 use qp_exec::{FaultKind, FaultPlan, RunControls};
 use qp_obs::QueryObs;
 use qp_progress::estimators::{Ensemble, EnsembleStats, Safe};
-use qp_progress::monitor::{run_with_progress_probed, ProgressTrace};
+use qp_progress::monitor::{ProgressMonitor, ProgressTrace};
 use qp_progress::{ProgressEstimator, RegimeFlags, Trust};
 use qp_stats::DbStats;
 use qp_storage::{ColumnType, Database, Schema, Value};
@@ -118,18 +118,19 @@ fn run_suite(
         obs: obs.clone(),
         ..RunControls::default()
     };
-    let probe: Option<Box<dyn Fn() -> u8 + Send>> = obs.map(|obs| {
-        Box::new(move || {
+    let mut monitor = ProgressMonitor::for_plan(plan, Some(stats), estimators, Some(8));
+    if let Some(obs) = obs {
+        monitor.set_regime_probe(Box::new(move || {
             if obs.snapshot().iter().any(|n| n.faults > 0) {
                 RegimeFlags::FAULT
             } else {
                 0
             }
-        }) as Box<dyn Fn() -> u8 + Send>
-    });
-    let (_, trace) =
-        run_with_progress_probed(plan, db, Some(stats), estimators, Some(8), controls, probe)
-            .expect("property query runs to completion");
+        }));
+    }
+    let (_, trace) = monitor
+        .run(plan, db, controls)
+        .expect("property query runs to completion");
     trace
 }
 

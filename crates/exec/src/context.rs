@@ -1,14 +1,15 @@
-//! Execution context: per-node getnext counters and the observer hook.
+//! Execution context: per-node getnext counters and checkpoints.
 //!
 //! This is the paper's Figure 1 made concrete. The executor drives the
 //! operator tree; every operator is wrapped in a [`Counted`] adapter that
-//! increments a per-node counter on each row produced (one *getnext* call
-//! under the model of Section 2.2) and reports [`ExecEvent`]s to an
-//! [`Observer`]. A progress estimator is exactly such an observer: it sees
-//! the plan (ahead of time), the stream of getnext events, and the database
-//! statistics — and nothing else. In particular it cannot peek at
-//! un-retrieved base data, which is what makes the lower bound of Section 3
-//! bite.
+//! adds each row produced (one *getnext* call under the model of Section
+//! 2.2) to a per-node counter in [`Counters`]. Those counters are the
+//! "execution feedback" arrow of the figure: a progress estimator is an
+//! [`Observer`] that reads them at *checkpoints* — every `stride` getnext
+//! calls, and whenever a node becomes exhausted — together with the plan
+//! (ahead of time) and the database statistics, and nothing else. In
+//! particular it cannot peek at un-retrieved base data, which is what
+//! makes the lower bound of Section 3 bite.
 //!
 //! ## Thread safety
 //!
@@ -19,21 +20,24 @@
 //!
 //! Execution itself may also be parallel: an `Exchange` operator runs
 //! partition copies of a subtree on worker threads, each under a *forked*
-//! context that shares the same [`Counters`] atomics and observer as the
-//! root context. Because every partition's [`Counted`] wrappers bump the
-//! same per-node counters, the final per-node counts and `total(Q)` are
-//! byte-identical to a serial run — the paper's GetNext accounting is
-//! preserved; only wall-clock changes. Exhaustion is producer-counted: a
-//! node wrapped by `n` partitions is only marked exhausted (and its
-//! [`ExecEvent::Exhausted`] emitted) when *all* `n` wrappers have seen
-//! their final row, so bound finalization never fires early.
+//! context that shares the same [`Counters`] atomics and checkpoint
+//! schedule as the root context. Because every partition's [`Counted`]
+//! wrappers bump the same per-node counters, the final per-node counts and
+//! `total(Q)` are byte-identical to a serial run — the paper's GetNext
+//! accounting is preserved; only wall-clock changes. The thread whose
+//! count first reaches the next stride mark wins one compare-and-swap on
+//! the shared mark and takes that checkpoint. Exhaustion is
+//! producer-counted: a node wrapped by `n` partitions is only marked
+//! exhausted (and checkpointed) when *all* `n` wrappers have seen their
+//! final row, so bound finalization never fires early.
 
 use crate::error::{ExecError, ExecResult};
 use qp_obs::{QueryObs, SpanKind, SpanSink};
 use qp_storage::{Row, Schema, StorageError};
 use qp_testkit::fault::{FaultKind, FaultPlan};
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Stable wire code for a fault kind, used in flight-recorder event
@@ -62,38 +66,31 @@ pub fn fault_kind_name(code: u64) -> &'static str {
 /// Identifier of a plan node (index into the plan's node table).
 pub type NodeId = usize;
 
-/// Events surfaced to observers, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecEvent {
-    /// `open()` was called on the node (pipelines: marks phase starts).
-    Open(NodeId),
-    /// The node produced one row — one getnext call under the model.
-    RowProduced(NodeId),
-    /// The node returned `None` for the first time (its output is final).
-    Exhausted(NodeId),
-}
-
-/// A consumer of execution feedback. Implemented by the progress monitor
-/// in `qp-progress`; also by test probes.
+/// A consumer of execution feedback, called at checkpoints. Implemented
+/// by the progress monitor in `qp-progress`; also by test probes.
 ///
 /// Observers are `Send` because a query (and the observer riding on it)
-/// may run on a worker thread other than the one that built it.
-pub trait Observer: Send {
-    /// Called after the context state reflects the event (i.e. counters are
-    /// already incremented for a `RowProduced`).
-    fn on_event(&mut self, event: ExecEvent, counters: &Counters);
+/// may run on a worker thread other than the one that built it, and
+/// `Any` so the caller that registered one can take it back by type.
+pub trait Observer: Any + Send {
+    /// Called at a checkpoint: the first batch boundary at or past each
+    /// stride mark, and once per node that becomes exhausted. `counters`
+    /// hold every node's count; a node seen exhausted is seen with its
+    /// final count.
+    fn checkpoint(&mut self, counters: &Counters);
 }
 
 /// Per-node and total getnext counters, readable at any instant — from any
-/// thread. All counters are monotone, so relaxed atomics suffice: a reader
-/// may see a value that is a handful of getnext calls stale, never one that
-/// is wrong.
+/// thread. All counters are monotone, so relaxed atomics suffice for the
+/// counts: a reader may see a value that is a handful of getnext calls
+/// stale, never one that is wrong. Exhausted flags are stored with
+/// Release and loaded with Acquire, so a node read as exhausted is read
+/// with its final count.
 #[derive(Debug)]
 pub struct Counters {
     per_node: Vec<AtomicU64>,
     total: AtomicU64,
     exhausted: Vec<AtomicBool>,
-    opened: Vec<AtomicBool>,
     /// How many [`Counted`] instances produce into each node. 1 in a
     /// serial plan; an `Exchange` running `n` partition copies of a
     /// subtree registers `n - 1` extra producers for every subtree node.
@@ -107,7 +104,6 @@ impl Counters {
             per_node: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
             total: AtomicU64::new(0),
             exhausted: (0..n_nodes).map(|_| AtomicBool::new(false)).collect(),
-            opened: (0..n_nodes).map(|_| AtomicBool::new(false)).collect(),
             producers: (0..n_nodes).map(|_| AtomicU64::new(1)).collect(),
         }
     }
@@ -131,16 +127,11 @@ impl Counters {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// Whether `node` has produced its final row.
+    /// Whether `node` has produced its final row. Load it before the
+    /// node's count: once this returns `true`, [`Counters::node`] is final.
     #[inline]
     pub fn is_exhausted(&self, node: NodeId) -> bool {
-        self.exhausted[node].load(Ordering::Relaxed)
-    }
-
-    /// Whether `node` has been opened.
-    #[inline]
-    pub fn is_opened(&self, node: NodeId) -> bool {
-        self.opened[node].load(Ordering::Relaxed)
+        self.exhausted[node].load(Ordering::Acquire)
     }
 
     /// Number of nodes.
@@ -254,10 +245,13 @@ impl RunControls {
 }
 
 /// Performance knobs for one query run. Neither knob may change results,
-/// counters, or estimator readings — the parallel-equivalence suite runs
+/// per-node counters, or `total(Q)` — the parallel-equivalence suite runs
 /// the whole matrix of sizes against the serial row-at-a-time run and
 /// asserts byte-identical output, so these are *schedule* parameters, not
-/// semantics parameters.
+/// semantics parameters. The batch size does move *where* checkpoints
+/// land: a stride checkpoint fires at the first batch boundary at or past
+/// its mark, so at `batch_rows = 1` checkpoints sit exactly on the marks
+/// and larger batches shift them later by less than one batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecTuning {
     /// Rows per work-stealing morsel for parallel scans (`0` = one
@@ -266,9 +260,9 @@ pub struct ExecTuning {
     /// the claim. See `qp_storage::MorselDispenser`.
     pub morsel_rows: usize,
     /// Rows moved per `next_batch` call on the hot producing path
-    /// (clamped to ≥ 1). Batch boundaries are where counters flush and
-    /// interrupts are checked, so a cancel/deadline lands within one
-    /// batch's worth of work instead of one tuple's.
+    /// (clamped to ≥ 1). Batch boundaries are where counters flush,
+    /// checkpoints fire, and interrupts are checked, so a cancel/deadline
+    /// lands within one batch's worth of work instead of one tuple's.
     pub batch_rows: usize,
 }
 
@@ -281,21 +275,28 @@ impl Default for ExecTuning {
     }
 }
 
-/// Shared execution state: counters, the registered observer, the
+/// The checkpoint schedule, shared by a root context and its forks.
+struct Checkpoints {
+    observer: Mutex<Option<Box<dyn Observer>>>,
+    /// `total()` at which the next stride checkpoint fires; `u64::MAX`
+    /// while no observer is registered, so unobserved runs never fire.
+    next_mark: AtomicU64,
+    /// getnext calls between stride checkpoints.
+    stride: AtomicU64,
+}
+
+/// Shared execution state: counters, the checkpoint schedule, the
 /// cancellation flag, and the fault/deadline controls.
 ///
 /// A context is either the *root* of a query or a *fork* created for one
-/// `Exchange` worker: forks share the root's counters, observer, cancel
+/// `Exchange` worker: forks share the root's counters, checkpoints, cancel
 /// token, deadline, and observability sink, but carry their own fault
 /// schedule keyed to a morsel-local getnext clock (shared-total keys would
 /// make fault positions depend on thread interleaving, and worker-local
 /// keys would make them depend on which worker steals which morsel).
 pub struct ExecContext {
     counters: Arc<Counters>,
-    observer: Arc<Mutex<Option<Box<dyn Observer>>>>,
-    /// Mirror of `observer.is_some()`, shared root↔forks — the hot-path
-    /// emit check, so unobserved runs never touch the observer mutex.
-    has_observer: Arc<AtomicBool>,
+    checkpoints: Arc<Checkpoints>,
     cancel: CancelToken,
     deadline: Option<Instant>,
     /// `true` iff this context can ever fire a fault — a live plan in
@@ -384,8 +385,11 @@ impl ExecContext {
         };
         Arc::new(ExecContext {
             counters: Arc::new(Counters::new(n_nodes)),
-            observer: Arc::new(Mutex::new(None)),
-            has_observer: Arc::new(AtomicBool::new(false)),
+            checkpoints: Arc::new(Checkpoints {
+                observer: Mutex::new(None),
+                next_mark: AtomicU64::new(u64::MAX),
+                stride: AtomicU64::new(1),
+            }),
             cancel: controls.cancel,
             deadline: controls.deadline,
             has_faults,
@@ -403,7 +407,7 @@ impl ExecContext {
     }
 
     /// Creates a worker fork of `parent` for one `Exchange` worker:
-    /// counters, observer, cancel token, deadline, tuning, and
+    /// counters, checkpoints, cancel token, deadline, tuning, and
     /// observability sink are shared (so every worker bumps the same
     /// per-node atomics); the fork fires faults from per-morsel schedules
     /// derived from `morsel_proto` (the exchange-level share of the
@@ -416,8 +420,7 @@ impl ExecContext {
         let has_faults = morsel_proto.as_ref().is_some_and(|f| !f.is_empty());
         Arc::new(ExecContext {
             counters: Arc::clone(&parent.counters),
-            observer: Arc::clone(&parent.observer),
-            has_observer: Arc::clone(&parent.has_observer),
+            checkpoints: Arc::clone(&parent.checkpoints),
             cancel: parent.cancel.clone(),
             deadline: parent.deadline,
             has_faults,
@@ -489,25 +492,70 @@ impl ExecContext {
     }
 
     /// Registers the observer (at most one; the progress monitor multiplexes
-    /// multiple estimators internally).
-    pub fn set_observer(&self, obs: Box<dyn Observer>) {
-        *self.observer.lock().expect("observer lock") = Some(obs);
-        self.has_observer.store(true, Ordering::Release);
+    /// multiple estimators internally), checkpointed every `stride`
+    /// getnext calls and at every node exhaustion.
+    ///
+    /// # Panics
+    /// Panics if `stride` is zero.
+    pub fn set_observer(&self, obs: Box<dyn Observer>, stride: u64) {
+        assert!(stride > 0, "stride must be positive");
+        *self.observer_slot() = Some(obs);
+        let cp = &self.checkpoints;
+        cp.stride.store(stride, Ordering::Relaxed);
+        cp.next_mark
+            .store(next_mark(self.counters.total(), stride), Ordering::Relaxed);
     }
 
     /// Removes and returns the observer (to inspect its findings after the
-    /// run).
+    /// run); no checkpoint fires after this.
     pub fn take_observer(&self) -> Option<Box<dyn Observer>> {
-        let taken = self.observer.lock().expect("observer lock").take();
-        self.has_observer.store(false, Ordering::Release);
-        taken
+        self.checkpoints
+            .next_mark
+            .store(u64::MAX, Ordering::Relaxed);
+        self.observer_slot().take()
     }
 
-    /// Whether an observer is currently registered (hot-path check for
-    /// both the per-row emit and the batch-path degrade decision).
+    fn observer_slot(&self) -> std::sync::MutexGuard<'_, Option<Box<dyn Observer>>> {
+        // A panic (injected or real) that unwound through a checkpoint
+        // leaves the observer usable: it only reads the counters.
+        self.checkpoints
+            .observer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands the counters to the observer, if one is registered.
+    fn checkpoint(&self) {
+        if let Some(obs) = self.observer_slot().as_mut() {
+            obs.checkpoint(&self.counters);
+        }
+    }
+
+    /// Fires a stride checkpoint if `total` (the running total a record
+    /// just produced) reached the next mark. Unobserved, the mark is
+    /// `u64::MAX` and this is one relaxed load and a compare.
     #[inline]
-    fn observed(&self) -> bool {
-        self.has_observer.load(Ordering::Acquire)
+    fn pass_mark(&self, total: u64) {
+        let mark = self.checkpoints.next_mark.load(Ordering::Relaxed);
+        if total >= mark {
+            self.take_mark(mark, total);
+        }
+    }
+
+    /// Cold path of [`ExecContext::pass_mark`]: one compare-and-swap moves
+    /// the shared mark past `total`, and the thread that wins it (the root
+    /// or an Exchange fork) takes the checkpoint.
+    #[cold]
+    fn take_mark(&self, mark: u64, total: u64) {
+        let cp = &self.checkpoints;
+        let next = next_mark(total, cp.stride.load(Ordering::Relaxed));
+        if cp
+            .next_mark
+            .compare_exchange(mark, next, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            self.checkpoint();
+        }
     }
 
     /// Counter access.
@@ -642,23 +690,6 @@ impl ExecContext {
         obs.set_rows(node, self.counters.node(node));
     }
 
-    #[inline]
-    fn emit(&self, ev: ExecEvent) {
-        // Flag check first: the common unobserved run (benchmarks, the
-        // serial side of equivalence tests) never touches the mutex.
-        if !self.observed() {
-            return;
-        }
-        if let Some(obs) = self.observer.lock().expect("observer lock").as_mut() {
-            obs.on_event(ev, &self.counters);
-        }
-    }
-
-    fn record_open(&self, node: NodeId) {
-        self.counters.opened[node].store(true, Ordering::Relaxed);
-        self.emit(ExecEvent::Open(node));
-    }
-
     /// How many producing calls between observability mirror syncs
     /// (power of two: the cadence check is a single mask test on the
     /// count `record_row` just computed anyway).
@@ -668,7 +699,7 @@ impl ExecContext {
     #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn record_row(&self, node: NodeId) {
         let n = self.counters.per_node[node].fetch_add(1, Ordering::Relaxed) + 1;
-        self.counters.total.fetch_add(1, Ordering::Relaxed);
+        let total = self.counters.total.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(clock) = &self.fault_clock {
             clock.fetch_add(1, Ordering::Relaxed);
         }
@@ -681,7 +712,7 @@ impl ExecContext {
                 obs.set_rows(node, n);
             }
         }
-        self.emit(ExecEvent::RowProduced(node));
+        self.pass_mark(total);
     }
 
     /// Batched form of [`ExecContext::record_row`]: accounts `k` rows
@@ -690,15 +721,13 @@ impl ExecContext {
     /// of every counter are identical to `k` calls of `record_row`; only
     /// the granularity at which a concurrent reader can observe them
     /// changes (and the obs mirror flushes *more* often — every batch vs
-    /// every [`ExecContext::OBS_SYNC_EVERY`] rows).
-    ///
-    /// Callers guarantee no observer is registered — per-row
-    /// [`ExecEvent`]s are not emitted here ([`Counted::next_batch`]
-    /// degrades to the row path when one is).
+    /// every [`ExecContext::OBS_SYNC_EVERY`] rows), and so does where a
+    /// stride checkpoint lands: at this batch boundary, if the batch
+    /// carried the total past the mark.
     #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn record_rows(&self, node: NodeId, k: u64) {
         let n = self.counters.per_node[node].fetch_add(k, Ordering::Relaxed) + k;
-        self.counters.total.fetch_add(k, Ordering::Relaxed);
+        let total = self.counters.total.fetch_add(k, Ordering::Relaxed) + k;
         if let Some(clock) = &self.fault_clock {
             clock.fetch_add(k, Ordering::Relaxed);
         }
@@ -706,6 +735,7 @@ impl ExecContext {
         if let Some(obs) = &self.obs {
             obs.set_rows(node, n);
         }
+        self.pass_mark(total);
     }
 
     /// Every `None` return (first exhaustion or a parent's re-poll) is a
@@ -721,15 +751,21 @@ impl ExecContext {
     }
 
     /// One producer of `node` saw its final row. The node is exhausted —
-    /// and [`ExecEvent::Exhausted`] emitted — only when the last producer
-    /// reports in, so a partitioned subtree never finalizes a node's
-    /// bounds while sibling partitions are still producing into it.
+    /// and checkpointed — only when the last producer reports in, so a
+    /// partitioned subtree never finalizes a node's bounds while sibling
+    /// partitions are still producing into it. The AcqRel decrement
+    /// orders every producer's count before the Release flag store.
     fn record_producer_done(&self, node: NodeId) {
         if self.counters.producers[node].fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.counters.exhausted[node].store(true, Ordering::Relaxed);
-            self.emit(ExecEvent::Exhausted(node));
+            self.counters.exhausted[node].store(true, Ordering::Release);
+            self.checkpoint();
         }
     }
+}
+
+/// The first stride mark strictly past `total`.
+fn next_mark(total: u64, stride: u64) -> u64 {
+    (total / stride).saturating_add(1).saturating_mul(stride)
 }
 
 /// The iterator-model operator interface (`open` / `next` / `close`).
@@ -973,18 +1009,19 @@ impl Counted {
     }
 
     /// True when any per-call instrumentation is live for this query —
-    /// observer events, opt-in timing, or a fault schedule keyed to exact
-    /// getnext indices. Batch driving degrades to the row-at-a-time path
-    /// then, so every instrument sees the identical per-row stream it
-    /// would see in a serial run (a fault scheduled at getnext `i` fires
-    /// after exactly `i` rows, not at the next batch boundary).
+    /// opt-in timing, or a fault schedule keyed to exact getnext indices.
+    /// Batch driving degrades to the row-at-a-time path then, so every
+    /// instrument sees the identical per-row stream it would see in a
+    /// serial run (a fault scheduled at getnext `i` fires after exactly
+    /// `i` rows, not at the next batch boundary). Checkpoints need no
+    /// such degrade: they read the counters at batch boundaries.
     #[inline]
     fn row_exact(&self) -> bool {
         #[cfg(feature = "obs")]
         if self.obs_timed {
             return true;
         }
-        self.ctx.has_faults || self.ctx.observed()
+        self.ctx.has_faults
     }
 
     /// Quiescent-point sync: mirrors the executor's producing count for
@@ -1018,9 +1055,6 @@ impl Operator for Counted {
     fn open(&mut self) -> ExecResult<()> {
         self.ctx.check_interrupts(self.node)?;
         self.begin_span();
-        if self.counting {
-            self.ctx.record_open(self.node);
-        }
         let result = self.inner.open();
         #[cfg(feature = "obs")]
         if result.is_err() {
@@ -1128,40 +1162,104 @@ mod tests {
         })
     }
 
+    /// Records `(total, exhausted)` at every checkpoint.
     struct Probe {
-        events: Arc<Mutex<Vec<ExecEvent>>>,
+        seen: Arc<Mutex<Vec<(u64, bool)>>>,
     }
 
     impl Observer for Probe {
-        fn on_event(&mut self, event: ExecEvent, _counters: &Counters) {
-            self.events.lock().unwrap().push(event);
+        fn checkpoint(&mut self, counters: &Counters) {
+            let exhausted = counters.is_exhausted(0);
+            self.seen
+                .lock()
+                .unwrap()
+                .push((counters.total(), exhausted));
+        }
+    }
+
+    fn probe(ctx: &ExecContext, stride: u64) -> Arc<Mutex<Vec<(u64, bool)>>> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        ctx.set_observer(
+            Box::new(Probe {
+                seen: Arc::clone(&seen),
+            }),
+            stride,
+        );
+        seen
+    }
+
+    /// Drains a single `Counted` source in batches of `batch`, returning
+    /// how many `next_batch` calls it took.
+    fn drain(op: &mut Counted, batch: usize) -> usize {
+        op.open().unwrap();
+        let mut rows = Vec::new();
+        let mut calls = 1;
+        while op.next_batch(batch, &mut rows).unwrap() {
+            calls += 1;
+        }
+        calls
+    }
+
+    #[test]
+    fn no_checkpoint_fires_without_an_observer() {
+        let ctx = ExecContext::new(1);
+        assert_eq!(ctx.checkpoints.next_mark.load(Ordering::Relaxed), u64::MAX);
+        // Registered, then taken back before the run: nothing fires.
+        let seen = probe(&ctx, 1);
+        assert!(ctx.take_observer().is_some());
+        let mut op = Counted::new(emit(50), 0, Arc::clone(&ctx));
+        drain(&mut op, 4);
+        assert_eq!(ctx.counters().total(), 50);
+        assert!(seen.lock().unwrap().is_empty());
+        assert_eq!(ctx.checkpoints.next_mark.load(Ordering::Relaxed), u64::MAX);
+    }
+
+    #[test]
+    fn checkpoints_fire_at_the_first_batch_boundary_past_each_mark() {
+        let n = 20u64;
+        for stride in [1u64, 3, 5, 7, 20, 64] {
+            for batch in [1u64, 2, 3, 5, 8, 32] {
+                let ctx = ExecContext::new(1);
+                let seen = probe(&ctx, stride);
+                let mut op = Counted::new(emit(n), 0, Arc::clone(&ctx));
+                drain(&mut op, batch as usize);
+                // Serial batches end at min(i·batch, n); each mark
+                // m = k·stride ≤ n fires at the first boundary ≥ m, one
+                // checkpoint per boundary however many marks it passed.
+                let boundaries: Vec<u64> = (1..)
+                    .map(|i| (i * batch).min(n))
+                    .take_while(|&t| t < n)
+                    .chain([n])
+                    .collect();
+                let mut expected: Vec<(u64, bool)> = Vec::new();
+                for mark in (stride..=n).step_by(stride as usize) {
+                    let at = *boundaries.iter().find(|&&t| t >= mark).unwrap();
+                    if expected.last() != Some(&(at, false)) {
+                        expected.push((at, false));
+                    }
+                }
+                // Exactly one more checkpoint: the exhaustion, with the
+                // final count.
+                expected.push((n, true));
+                assert_eq!(
+                    *seen.lock().unwrap(),
+                    expected,
+                    "stride {stride} batch {batch}"
+                );
+            }
         }
     }
 
     #[test]
-    fn counted_counts_rows_and_reports_events() {
+    fn an_observer_does_not_force_one_row_per_pull() {
         let ctx = ExecContext::new(1);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        ctx.set_observer(Box::new(Probe {
-            events: Arc::clone(&events),
-        }));
-        let mut op = Counted::new(emit(3), 0, Arc::clone(&ctx));
-        op.open().unwrap();
-        while op.next().unwrap().is_some() {}
-        // One extra next to check Exhausted fires once.
-        assert!(op.next().unwrap().is_none());
-        assert_eq!(ctx.counters().node(0), 3);
-        assert_eq!(ctx.counters().total(), 3);
-        assert!(ctx.counters().is_exhausted(0));
+        let seen = probe(&ctx, 10);
+        let mut op = Counted::new(emit(100), 0, Arc::clone(&ctx));
+        assert_eq!(drain(&mut op, 64), 2, "two batches: 64 rows, then 36");
+        assert_eq!(ctx.counters().total(), 100);
         assert_eq!(
-            *events.lock().unwrap(),
-            vec![
-                ExecEvent::Open(0),
-                ExecEvent::RowProduced(0),
-                ExecEvent::RowProduced(0),
-                ExecEvent::RowProduced(0),
-                ExecEvent::Exhausted(0),
-            ]
+            *seen.lock().unwrap(),
+            vec![(64, false), (100, false), (100, true)]
         );
     }
 
@@ -1185,37 +1283,6 @@ mod tests {
         assert_eq!(batch_ctx.counters().node(0), row_ctx.counters().node(0));
         assert_eq!(batch_ctx.counters().total(), row_ctx.counters().total());
         assert!(batch_ctx.counters().is_exhausted(0));
-    }
-
-    #[test]
-    fn batch_path_degrades_to_single_rows_under_an_observer() {
-        // With an observer registered, `row_exact()` forces one row per
-        // next_batch pull so the per-row event stream is byte-identical
-        // to a plain next() loop — same events, same order.
-        let ctx = ExecContext::new(1);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        ctx.set_observer(Box::new(Probe {
-            events: Arc::clone(&events),
-        }));
-        let mut op = Counted::new(emit(3), 0, Arc::clone(&ctx));
-        op.open().unwrap();
-        let mut rows = Vec::new();
-        let mut pulls = 0;
-        while op.next_batch(64, &mut rows).unwrap() {
-            pulls += 1;
-        }
-        assert_eq!(rows.len(), 3);
-        assert_eq!(pulls, 3, "observer must force one row per pull");
-        assert_eq!(
-            *events.lock().unwrap(),
-            vec![
-                ExecEvent::Open(0),
-                ExecEvent::RowProduced(0),
-                ExecEvent::RowProduced(0),
-                ExecEvent::RowProduced(0),
-                ExecEvent::Exhausted(0),
-            ]
-        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::ops::{
 };
 use crate::plan::{NodeId, Plan, PlanNode};
 use qp_storage::{Database, MorselDispenser, Row};
+use std::any::Any;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -79,16 +80,6 @@ impl QueryRun {
         })
     }
 
-    /// Registers an observer (e.g. a progress monitor) before running.
-    pub fn set_observer(&self, obs: Box<dyn Observer>) {
-        self.ctx.set_observer(obs);
-    }
-
-    /// Removes and returns the observer.
-    pub fn take_observer(&self) -> Option<Box<dyn Observer>> {
-        self.ctx.take_observer()
-    }
-
     /// The shared execution context (counters are readable at any time,
     /// from any thread).
     pub fn context(&self) -> &Arc<ExecContext> {
@@ -97,10 +88,11 @@ impl QueryRun {
 
     /// Runs the query to completion, returning all result rows.
     ///
-    /// The root is driven in batches of [`crate::ExecTuning::batch_rows`];
-    /// with an observer or a fault plan attached the batch path degrades
-    /// to one row per pull, so instrumented runs see the identical per-row
-    /// event stream a plain `next()` loop would produce.
+    /// The root is driven in batches of [`crate::ExecTuning::batch_rows`].
+    /// An observer is checkpointed at batch boundaries, so it never slows
+    /// the batch path; a fault plan or opt-in timing degrades it to one
+    /// row per pull, so those instruments see the exact per-row stream a
+    /// plain `next()` loop would produce.
     pub fn run(&mut self) -> ExecResult<Vec<Row>> {
         let result = self.drive();
         // Spans close on *both* exits: a cancelled or faulted run still
@@ -110,6 +102,23 @@ impl QueryRun {
         result
     }
 
+    /// [`QueryRun::run`] with `observer` checkpointed every `stride`
+    /// getnext calls and at every node exhaustion (see
+    /// [`ExecContext::set_observer`]); the observer is handed back.
+    pub fn run_observed<O: Observer>(
+        &mut self,
+        observer: O,
+        stride: u64,
+    ) -> ExecResult<(Vec<Row>, O)> {
+        self.ctx.set_observer(Box::new(observer), stride);
+        let rows = self.run()?;
+        let observer: Box<dyn Any> = self.ctx.take_observer().expect("registered above");
+        let observer = observer
+            .downcast::<O>()
+            .expect("the observer registered above");
+        Ok((rows, *observer))
+    }
+
     fn drive(&mut self) -> ExecResult<Vec<Row>> {
         self.root.open()?;
         let batch = self.ctx.tuning().batch_rows.max(1);
@@ -117,6 +126,15 @@ impl QueryRun {
         while self.root.next_batch(batch, &mut rows)? {}
         self.root.close();
         Ok(rows)
+    }
+
+    /// Packages a completed run's rows with its final getnext accounting.
+    pub fn output(&self, rows: Vec<Row>) -> QueryOutput {
+        QueryOutput {
+            node_counts: self.ctx.counters().snapshot(),
+            total_getnext: self.ctx.counters().total(),
+            rows,
+        }
     }
 
     fn end_query_spans(&mut self) {
@@ -164,8 +182,9 @@ pub struct QueryOutput {
     pub total_getnext: u64,
 }
 
-/// Convenience: run `plan` over `db` (optionally with an observer) and
-/// collect everything.
+/// Convenience: run `plan` over `db` and collect everything. An observer,
+/// if given, is checkpointed at stride 1 — at every batch boundary under
+/// the default [`crate::ExecTuning`] — and handed back after the run.
 pub fn run_query(
     plan: &Plan,
     db: &Database,
@@ -173,16 +192,10 @@ pub fn run_query(
 ) -> ExecResult<(QueryOutput, Option<Box<dyn Observer>>)> {
     let mut run = QueryRun::new(plan, db)?;
     if let Some(obs) = observer {
-        run.set_observer(obs);
+        run.context().set_observer(obs, 1);
     }
     let rows = run.run()?;
-    let out = QueryOutput {
-        node_counts: run.context().counters().snapshot(),
-        total_getnext: run.context().counters().total(),
-        rows,
-    };
-    let obs = run.take_observer();
-    Ok((out, obs))
+    Ok((run.output(rows), run.context().take_observer()))
 }
 
 /// Global numbering of `Exchange` nodes across a plan: `ordinals[id]` is

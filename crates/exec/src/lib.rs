@@ -23,11 +23,13 @@
 //!   `μ = 2` of the Section 5.2 experiment.
 //!
 //! Every operator is wrapped in a [`context::Counted`] adapter that bumps a
-//! per-node counter in the shared [`context::ExecContext`] and emits
-//! [`context::ExecEvent`]s to a registered [`context::Observer`] — this is
-//! the "execution feedback" arrow of the paper's Figure 1, and it is the
-//! *only* channel through which the progress estimators in `qp-progress`
-//! see the running query.
+//! per-node counter in the shared [`context::Counters`]. Those counters
+//! are the "execution feedback" arrow of the paper's Figure 1: a
+//! registered [`context::Observer`] reads them at checkpoints — every
+//! `stride` getnext calls, at the first batch boundary past each mark,
+//! and whenever a node becomes exhausted — and that read is the *only*
+//! channel through which the progress estimators in `qp-progress` see the
+//! running query.
 //!
 //! [`plan`] defines the physical plan IR (with a builder), [`pipeline`]
 //! decomposes plans into pipelines and identifies driver nodes (Section
@@ -45,8 +47,8 @@ pub mod pipeline;
 pub mod plan;
 
 pub use context::{
-    fault_kind_code, fault_kind_name, CancelToken, Counters, ExecContext, ExecEvent, ExecTuning,
-    NodeId, Observer, RunControls, SpanAttach,
+    fault_kind_code, fault_kind_name, CancelToken, Counters, ExecContext, ExecTuning, NodeId,
+    Observer, RunControls, SpanAttach,
 };
 pub use error::{ExecError, ExecResult};
 // Fault-injection vocabulary, re-exported so downstream crates can drive

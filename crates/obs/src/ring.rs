@@ -115,6 +115,24 @@ impl RawRing {
         out
     }
 
+    /// An exact-size copy of the surviving tail: one slot per record, with
+    /// every record's `seq`, and [`RawRing::pushed`] and
+    /// [`RawRing::dropped`] unchanged. For a ring whose writers are done —
+    /// a finished session's trace keeps its tail without holding the
+    /// full-capacity allocation.
+    pub fn compacted(&self) -> RawRing {
+        let tail = self.tail();
+        let ring = RawRing::new(tail.len().max(1), self.width);
+        let head = self.pushed();
+        ring.head
+            .store(head.saturating_sub(tail.len() as u64), Ordering::Relaxed);
+        for rec in &tail {
+            ring.push(&rec.payload);
+        }
+        debug_assert_eq!(ring.pushed(), head, "compaction needs a quiescent ring");
+        ring
+    }
+
     /// Reads the record with sequence `seq`, if its slot still holds it.
     fn read_slot(&self, seq: u64) -> Option<Vec<u64>> {
         let base = (seq % self.capacity as u64) as usize * (1 + self.width);
@@ -175,6 +193,22 @@ mod tests {
             tail.iter().map(|rec| rec.payload[0]).collect::<Vec<_>>(),
             vec![6, 7, 8, 9],
         );
+    }
+
+    #[test]
+    fn compaction_keeps_tail_seq_and_counts() {
+        // One ring that never lapped, one that did, and an empty one.
+        for pushes in [0u64, 5, 21] {
+            let r = RawRing::new(8, 2);
+            for i in 0..pushes {
+                r.push(&[i, i * 3]);
+            }
+            let c = r.compacted();
+            assert_eq!(c.tail(), r.tail(), "{pushes} pushes");
+            assert_eq!(c.pushed(), r.pushed(), "{pushes} pushes");
+            assert_eq!(c.dropped(), r.dropped(), "{pushes} pushes");
+            assert_eq!(c.capacity(), r.tail().len().max(1));
+        }
     }
 
     #[test]

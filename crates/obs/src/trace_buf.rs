@@ -75,6 +75,15 @@ impl TraceBuffer {
         self.ring.push(&payload)
     }
 
+    /// An exact-size copy holding only the surviving tail, with `seq`,
+    /// [`TraceBuffer::pushed`] and [`TraceBuffer::dropped`] unchanged —
+    /// what a finished session keeps (see [`RawRing::compacted`]).
+    pub fn compacted(&self) -> TraceBuffer {
+        TraceBuffer {
+            ring: self.ring.compacted(),
+        }
+    }
+
     /// The surviving checkpoint tail, oldest first.
     pub fn tail(&self) -> Vec<TracePoint> {
         self.ring
@@ -126,6 +135,29 @@ mod tests {
         assert_eq!(buf.dropped(), 6);
         // curr is non-decreasing in a live trace.
         assert!(tail.windows(2).all(|w| w[0].curr <= w[1].curr));
+    }
+
+    #[test]
+    fn compaction_preserves_tail_and_counts() {
+        // Lapped (10 pushes into 4 slots) and not lapped (3 into 8).
+        for (capacity, pushes) in [(4usize, 10u64), (8, 3)] {
+            let buf = TraceBuffer::new(capacity, 2);
+            for i in 0..pushes {
+                buf.push(i * 10, 5, 500, &[i as f64 / 10.0, f64::NAN]);
+            }
+            let small = buf.compacted();
+            assert_eq!(small.arity(), 2);
+            let (a, b) = (buf.tail(), small.tail());
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!((x.seq, x.curr, x.lb, x.ub), (y.seq, y.curr, y.lb, y.ub));
+                let bits =
+                    |p: &TracePoint| p.estimates.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y));
+            }
+            assert_eq!(small.pushed(), buf.pushed());
+            assert_eq!(small.dropped(), buf.dropped());
+        }
     }
 
     #[test]

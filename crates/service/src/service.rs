@@ -41,16 +41,15 @@
 
 use crate::session::{QueryId, QueryResult, QueryState, Session, SessionTelemetry};
 use crate::sync::lock_or_recover;
-use qp_exec::executor::QueryRun;
 use qp_exec::{ExecError, FaultConfig, FaultPlan, Plan, RunControls, SpanAttach};
 use qp_obs::{
     EstimatorScore, EventKind, FlightRecorder, LatencyHistogram, Postmortem, QueryObs, SpanSink,
     TraceBuffer,
 };
 use qp_progress::estimators::{Dne, EnsembleStats, Pmax, ProgressEstimator, Safe};
-use qp_progress::monitor::{ProgressMonitor, SharedMonitor};
+use qp_progress::monitor::ProgressMonitor;
+use qp_progress::score_checkpoints;
 use qp_progress::shared::{ProgressCell, ProgressReading, RegimeFlags};
-use qp_progress::{score_checkpoints, BoundsTracker, PlanMeta};
 use qp_stats::DbStats;
 use qp_storage::Database;
 use std::collections::{BTreeMap, VecDeque};
@@ -91,7 +90,7 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Snapshot stride override (getnext calls between progress
     /// publications). `None` picks ~200 points per query from the plan's
-    /// scanned-leaf cardinalities, like `run_with_progress`.
+    /// scanned-leaf cardinalities (see [`ProgressMonitor::for_plan`]).
     pub stride: Option<u64>,
     /// Execution-time budget applied to every session that does not
     /// carry its own `TIMEOUT_MS`. `None` = no default deadline.
@@ -474,10 +473,10 @@ impl QueryService {
                 self.timed_obs,
                 Some(Arc::clone(&self.inner.recorder)),
             )),
-            trace: Some(Arc::new(TraceBuffer::new(
+            trace: Mutex::new(Some(Arc::new(TraceBuffer::new(
                 self.trace_capacity,
                 estimator_names.len(),
-            ))),
+            )))),
             recorder: Some(Arc::clone(&self.inner.recorder)),
             spans: Some(Arc::clone(&self.inner.spans)),
         };
@@ -734,25 +733,18 @@ fn run_job(inner: &ServiceInner, job: Job) {
         .queue_hist
         .record(duration_ns(session.submitted_at().elapsed()));
 
-    let meta = PlanMeta::from_plan(&plan);
-    let bounds = BoundsTracker::new(&plan, Some(&inner.stats));
-    let stride = inner.stride.unwrap_or_else(|| {
-        let hint: u64 = meta
-            .scanned_leaves
-            .iter()
-            .filter_map(|&(_, c)| c)
-            .sum::<u64>()
-            .max(200);
-        (hint / 200).max(1)
-    });
-    let mut monitor =
-        ProgressMonitor::new(meta, bounds, session_suite(estimators.as_deref()), stride);
+    let mut monitor = ProgressMonitor::for_plan(
+        &plan,
+        Some(&inner.stats),
+        session_suite(estimators.as_deref()),
+        inner.stride,
+    );
     monitor.set_publisher(Arc::clone(session.progress_cell()));
     if let Some(obs) = session.obs() {
         monitor.set_recorder(Arc::clone(&inner.recorder), obs.query());
     }
     if let Some(trace) = session.trace_buffer() {
-        monitor.set_trace_sink(Arc::clone(trace));
+        monitor.set_trace_sink(trace);
     }
     // Regime probe: polled by the monitor before every snapshot. Fired
     // faults (this query's own, via its QueryObs counters) and buffer-
@@ -780,7 +772,6 @@ fn run_job(inner: &ServiceInner, job: Job) {
             bits
         }));
     }
-    let monitor = Arc::new(Mutex::new(monitor));
 
     // The deadline starts ticking now, not at submission: the budget is
     // execution time, checked at the executor's instrumented getnext
@@ -809,17 +800,11 @@ fn run_job(inner: &ServiceInner, job: Job) {
     };
 
     // Panic isolation: a panicking plan (injected or real) must kill its
-    // query, not its worker. Unwind safety: the closure's shared state is
-    // the monitor mutex (poison-recovered everywhere) and the session
-    // (only transitioned below, after the catch).
+    // query, not its worker. Unwind safety: the monitor is moved into the
+    // closure and dropped with it, and the session is only transitioned
+    // below, after the catch.
     let run_started = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        QueryRun::with_controls(&plan, &inner.db, controls).and_then(|mut run| {
-            run.set_observer(Box::new(SharedMonitor(Arc::clone(&monitor))));
-            let rows = run.run()?;
-            Ok((rows, run.context().counters().total()))
-        })
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| monitor.run(&plan, &inner.db, controls)));
     let run_elapsed = run_started.elapsed();
     inner.run_hist.record(duration_ns(run_elapsed));
 
@@ -827,29 +812,22 @@ fn run_job(inner: &ServiceInner, job: Job) {
     // when a postmortem could be scored (the query finished).
     let mut worst_ratio = 1.0f64;
     let terminal: Box<dyn FnOnce()> = match outcome {
-        Ok(Ok((rows, total_getnext))) => {
-            // Final snapshot: the published trace ends exactly at 100%.
-            let mut trust_transitions = 0u64;
-            if let Ok(monitor) = Arc::try_unwrap(monitor) {
-                let trace = monitor
-                    .into_inner()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .into_trace_with_final();
-                // Session-history feed: now that total(Q) is known, score
-                // every ensemble member's checkpoint error and fold it
-                // into the process-wide statistics — this run's outcome
-                // re-weights the *next* query's ensemble.
-                EnsembleStats::global().record_trace(&trace);
-                trust_transitions = trace
-                    .snapshots()
-                    .windows(2)
-                    .filter(|w| w[0].trust != w[1].trust)
-                    .count() as u64;
-            }
+        Ok(Ok((out, trace))) => {
+            // Session-history feed: now that total(Q) is known, score
+            // every ensemble member's checkpoint error and fold it into
+            // the process-wide statistics — this run's outcome re-weights
+            // the *next* query's ensemble.
+            EnsembleStats::global().record_trace(&trace);
+            let trust_transitions = trace
+                .snapshots()
+                .windows(2)
+                .filter(|w| w[0].trust != w[1].trust)
+                .count() as u64;
+            let total_getnext = out.total_getnext;
             // Postmortem: replay the session's checkpoint ring against the
-            // now-known total(Q). This runs *after* into_trace_with_final
-            // pushed the final 100% checkpoint, so the buffer scored here
-            // is exactly what a later `TRACE` serves.
+            // now-known total(Q). The run's final 100% checkpoint is
+            // already in the ring, so the buffer scored here is exactly
+            // what a later `TRACE` serves.
             if let Some(pm) = build_postmortem(
                 &session,
                 total_getnext,
@@ -866,7 +844,7 @@ fn run_job(inner: &ServiceInner, job: Job) {
             let session = Arc::clone(&session);
             Box::new(move || {
                 session.finish(QueryResult {
-                    rows: Arc::new(rows),
+                    rows: Arc::new(out.rows),
                     total_getnext,
                 })
             })

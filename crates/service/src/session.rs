@@ -167,7 +167,9 @@ pub(crate) struct SessionCore {
 #[derive(Debug, Default)]
 pub(crate) struct SessionTelemetry {
     pub obs: Option<Arc<QueryObs>>,
-    pub trace: Option<Arc<TraceBuffer>>,
+    /// Behind a mutex because the terminal transition swaps the
+    /// full-capacity ring for an exact-size copy of its tail.
+    pub trace: Mutex<Option<Arc<TraceBuffer>>>,
     pub recorder: Option<Arc<FlightRecorder>>,
     /// Hierarchical span sink: when attached, the session opens a
     /// `Session` span at construction (= admission) and closes it at its
@@ -276,8 +278,18 @@ impl Session {
     }
 
     /// The live progress-checkpoint ring, when the service attached one.
-    pub fn trace_buffer(&self) -> Option<&Arc<TraceBuffer>> {
-        self.telemetry.trace.as_ref()
+    pub fn trace_buffer(&self) -> Option<Arc<TraceBuffer>> {
+        lock_or_recover(&self.telemetry.trace).clone()
+    }
+
+    /// A terminal session's trace never grows again, but the registry
+    /// keeps the session: swap the full-capacity ring for an exact-size
+    /// copy of its tail, so finished sessions hold only what `TRACE` and
+    /// `AUDIT` can still serve (same points, `pushed` and `dropped`).
+    fn compact_trace(&self) {
+        if let Some(trace) = lock_or_recover(&self.telemetry.trace).as_mut() {
+            *trace = Arc::new(trace.compacted());
+        }
     }
 
     /// When the session was admitted (queue latency baseline).
@@ -388,6 +400,7 @@ impl Session {
             drop(core);
             self.record_state(QueryState::Queued, QueryState::Cancelled);
             self.end_session_span();
+            self.compact_trace();
             self.turnstile.notify_all();
         }
         found
@@ -408,6 +421,7 @@ impl Session {
         self.record_state(from, to);
         if to.is_terminal() {
             self.end_session_span();
+            self.compact_trace();
         }
         self.turnstile.notify_all();
     }
@@ -511,6 +525,39 @@ mod tests {
         assert!(s.cancel_token().is_cancelled());
         // A worker dequeuing it later must not start it.
         assert!(!s.begin_running());
+    }
+
+    #[test]
+    fn terminal_transitions_compact_the_trace_ring() {
+        let with_trace = || {
+            Session::with_telemetry(
+                QueryId(9),
+                "SELECT 1".into(),
+                Arc::new(ProgressCell::new(vec!["pmax"])),
+                None,
+                SessionTelemetry {
+                    trace: Mutex::new(Some(Arc::new(TraceBuffer::new(4096, 1)))),
+                    ..SessionTelemetry::default()
+                },
+            )
+        };
+        let ran = with_trace();
+        assert!(ran.begin_running());
+        let live = ran.trace_buffer().unwrap();
+        for i in 0..3 {
+            live.push(i, 0, 10, &[0.5]);
+        }
+        ran.mark_cancelled();
+        let kept = ran.trace_buffer().unwrap();
+        assert!(!Arc::ptr_eq(&live, &kept), "terminal ring must be replaced");
+        assert_eq!(kept.tail(), live.tail());
+        assert_eq!((kept.pushed(), kept.dropped()), (3, 0));
+
+        let queued = with_trace();
+        let before = queued.trace_buffer().unwrap();
+        assert_eq!(queued.request_cancel(), QueryState::Queued);
+        assert!(!Arc::ptr_eq(&before, &queued.trace_buffer().unwrap()));
+        assert_eq!(queued.trace_buffer().unwrap().pushed(), 0);
     }
 
     #[test]

@@ -152,7 +152,13 @@ fn span_trees_stay_well_formed_under_fanout_and_cancel() {
             .submit("SELECT COUNT(*) AS n FROM nation")
             .expect("admitted");
 
-        while service.status(cancelled).map(|s| s.state) == Some(QueryState::Queued) {
+        // Cancel once the workers drive: a published reading means the
+        // operator tree is open. `Running` alone is not enough — a cancel
+        // that lands before the root opens leaves no operator span.
+        while service
+            .status(cancelled)
+            .is_some_and(|s| s.progress.is_none() && !s.state.is_terminal())
+        {
             std::thread::yield_now();
         }
         service.cancel(cancelled);

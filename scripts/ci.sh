@@ -37,11 +37,13 @@ echo "==> parallel-gate (measured speedups; disk-bound >= 2.5x at 4 workers, cpu
 echo "    degrees 2/4 when the runner has more than one core; exits non-zero on violation)"
 cargo bench --offline -q -p qp-bench --bench parallel_speedup
 
-echo "==> observability overhead gate (counters AND default-on spans must stay within budget of bare)"
-# Full measurement: exits non-zero if the untimed counters OR the
-# default-on span path cost more than QP_OBS_BUDGET_PCT (default 5 %)
-# vs a bare run, and refreshes BENCH_overhead.json — the repo's
-# performance trajectory. Opt-in histogram timing is reported, not gated.
+echo "==> observability overhead gate (counters, default-on spans AND the progress monitor must"
+echo "    stay within budget of bare)"
+# Full measurement: exits non-zero if the untimed counters, the
+# default-on span path, OR a monitored run (dne/pmax/safe at the default
+# stride, degree 1) cost more than QP_OBS_BUDGET_PCT (default 5 %) vs a
+# bare run, and refreshes BENCH_overhead.json — the repo's performance
+# trajectory. Opt-in histogram timing is reported, not gated.
 cargo bench --offline -q -p qp-bench --bench obs_overhead
 
 echo "==> audit smoke (AUDIT-over-TCP vs offline TRACE re-score; byte-identical across 3 seeds;"

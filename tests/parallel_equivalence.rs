@@ -18,12 +18,13 @@
 //! must also hold at every **morsel size** (one-row morsels, small, large,
 //! and one whole-table morsel) and under batched `next_batch` driving,
 //! over uniform *and* Zipf-skewed data (z ∈ {0, 1, 2} — skew is what makes
-//! morsel runtimes uneven and forces actual stealing). The checkpoint
-//! stance matches PR 5: at parallelism 1 every estimator reading is
-//! byte-identical snapshot-for-snapshot regardless of morsel/batch sizing;
-//! at higher degrees checkpoint *interleaving* may differ (workers race to
-//! the stride boundary) but Proposition 4, the `[lb, ub]` bracket, and all
-//! final counts remain exact.
+//! morsel runtimes uneven and forces actual stealing). Checkpoints read
+//! the counters at batch boundaries, so batch size moves *where* they
+//! land: at parallelism 1 and one-row batches every estimator reading is
+//! byte-identical snapshot-for-snapshot regardless of morsel sizing; at
+//! larger batches and higher degrees checkpoint positions differ
+//! (workers race to the stride mark) but Proposition 4, the `[lb, ub]`
+//! bracket, and all final counts remain exact at every checkpoint.
 
 use qp_testkit::prop::collection;
 use qp_testkit::{prop_assert, prop_check, TestRng};
@@ -32,11 +33,11 @@ use queryprogress::exec::executor::QueryRun;
 use queryprogress::exec::expr::{CmpOp, Expr};
 use queryprogress::exec::plan::{JoinType, Plan, PlanBuilder};
 use queryprogress::exec::{
-    parallelize, run_query, CancelToken, Counters, ExecError, ExecEvent, ExecTuning, FaultConfig,
-    FaultPlan, Observer, RunControls,
+    parallelize, run_query, CancelToken, Counters, ExecError, ExecTuning, FaultConfig, FaultPlan,
+    Observer, RunControls,
 };
 use queryprogress::progress::estimators::{Dne, Pmax, Safe};
-use queryprogress::progress::monitor::{run_with_progress, run_with_progress_controls};
+use queryprogress::progress::monitor::ProgressMonitor;
 use queryprogress::stats::DbStats;
 use queryprogress::storage::{ColumnType, Database, Row, Schema, Value};
 use std::time::Duration;
@@ -286,15 +287,9 @@ prop_check! {
             tuning: tuning(MORSEL_SIZES[morsel_sel]),
             ..RunControls::default()
         };
-        let (out, trace) = run_with_progress_controls(
-            &par,
-            &db,
-            Some(&stats),
-            vec![Box::new(Pmax)],
-            Some(3),
-            controls,
-        )
-        .unwrap();
+        let (out, trace) = ProgressMonitor::for_plan(&par, Some(&stats), vec![Box::new(Pmax)], Some(3))
+            .run(&par, &db, controls)
+            .unwrap();
         let total = out.total_getnext;
         let (serial, _) = run_query(&plan, &db, None).unwrap();
         prop_assert!(out.rows == serial.rows, "rows diverge from serial");
@@ -417,12 +412,14 @@ prop_check! {
         }
     }
 
-    /// At parallelism 1 the checkpoint stream itself is deterministic, so
-    /// the claim sharpens to snapshot-for-snapshot **byte equality**: for
-    /// every morsel size and batch size, every `dne`/`pmax`/`safe`
-    /// reading, every `Curr`, and every `[lb, ub]` bound is bit-identical
-    /// to the default-tuning trace. Tuning is a schedule knob, not a
-    /// semantics knob.
+    /// At parallelism 1 and one-row batches the checkpoint stream is
+    /// deterministic, so the claim sharpens to snapshot-for-snapshot
+    /// **byte equality** across morsel sizes: every `dne`/`pmax`/`safe`
+    /// reading, every `Curr`, and every `[lb, ub]` bound is bit-identical.
+    /// Larger batches move checkpoints to batch boundaries, so there every
+    /// checkpoint must instead satisfy Proposition 4 and
+    /// `lb ≤ total(Q) ≤ ub` with strictly increasing `Curr`, and the last
+    /// one must sit at `Curr = lb = ub = total(Q)`.
     fn degree_one_checkpoints_are_byte_identical_across_tuning(
         seed in 0u64..1_000_000,
         shape in 0u8..7,
@@ -435,54 +432,88 @@ prop_check! {
         let db = build_db(&t_vals, &u_vals);
         let stats = DbStats::build(&db);
         let plan = annotated_plan(&db, &stats, shape, threshold);
-        let suite = || -> Vec<Box<dyn ProgressEstimator>> {
-            vec![Box::new(Dne), Box::new(Pmax), Box::new(Safe)]
+        let run = |morsel: usize, batch: usize, stride: u64| {
+            let suite: Vec<Box<dyn ProgressEstimator>> =
+                vec![Box::new(Dne), Box::new(Pmax), Box::new(Safe)];
+            let controls = RunControls {
+                tuning: ExecTuning {
+                    morsel_rows: morsel,
+                    batch_rows: batch,
+                },
+                ..RunControls::default()
+            };
+            ProgressMonitor::for_plan(&plan, Some(&stats), suite, Some(stride))
+                .run(&plan, &db, controls)
+                .unwrap()
         };
-        let (ref_out, ref_trace) =
-            run_with_progress(&plan, &db, Some(&stats), suite(), Some(3)).unwrap();
+        let (ref_out, ref_trace) = run(ExecTuning::default().morsel_rows, 1, 3);
         for morsel in MORSEL_SIZES {
-            for batch in [1usize, 7, 256] {
-                let controls = RunControls {
-                    tuning: ExecTuning {
-                        morsel_rows: morsel,
-                        batch_rows: batch,
-                    },
-                    ..RunControls::default()
-                };
-                let (out, trace) = run_with_progress_controls(
-                    &plan,
-                    &db,
-                    Some(&stats),
-                    suite(),
-                    Some(3),
-                    controls,
-                )
-                .unwrap();
-                prop_assert!(out.rows == ref_out.rows, "rows diverge at {morsel}/{batch}");
+            let (out, trace) = run(morsel, 1, 3);
+            prop_assert!(out.rows == ref_out.rows, "rows diverge at morsel {morsel}");
+            prop_assert!(
+                out.total_getnext == ref_out.total_getnext,
+                "total(Q) diverges at morsel {morsel}"
+            );
+            let (a, b) = (ref_trace.snapshots(), trace.snapshots());
+            prop_assert!(
+                a.len() == b.len(),
+                "checkpoint count {} != {} at morsel {morsel}",
+                a.len(),
+                b.len()
+            );
+            for (i, (sa, sb)) in a.iter().zip(b).enumerate() {
                 prop_assert!(
-                    out.total_getnext == ref_out.total_getnext,
-                    "total(Q) diverges at {morsel}/{batch}"
+                    (sa.curr, sa.lb, sa.ub) == (sb.curr, sb.lb, sb.ub),
+                    "checkpoint {i} (curr, lb, ub) diverges at morsel {morsel}"
                 );
-                let (a, b) = (ref_trace.snapshots(), trace.snapshots());
+                let bits = |e: &[f64]| e.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 prop_assert!(
-                    a.len() == b.len(),
-                    "checkpoint count {} != {} at {morsel}/{batch}",
-                    a.len(),
-                    b.len()
+                    bits(&sa.estimates) == bits(&sb.estimates),
+                    "checkpoint {i} estimator readings diverge at morsel {morsel}: \
+                     {:?} vs {:?}",
+                    sa.estimates,
+                    sb.estimates
                 );
-                for (i, (sa, sb)) in a.iter().zip(b).enumerate() {
+            }
+        }
+        // Stride 3 caps the batch at 3 rows; stride = batch runs the
+        // batch size unclamped.
+        for morsel in MORSEL_SIZES {
+            for batch in [7usize, 256] {
+                for stride in [3, batch as u64] {
+                    let cell = format!("morsel {morsel} batch {batch} stride {stride}");
+                    let (out, trace) = run(morsel, batch, stride);
+                    let total = out.total_getnext;
+                    prop_assert!(out.rows == ref_out.rows, "rows diverge at {cell}");
+                    prop_assert!(total == ref_out.total_getnext, "total(Q) diverges at {cell}");
+                    let snaps = trace.snapshots();
+                    for s in snaps {
+                        prop_assert!(
+                            s.lb <= total && total <= s.ub,
+                            "[{}, {}] misses total(Q) {total} at curr {} ({cell})",
+                            s.lb,
+                            s.ub,
+                            s.curr
+                        );
+                        let prog = s.curr as f64 / total.max(1) as f64;
+                        prop_assert!(
+                            s.estimates[1] + 1e-9 >= prog.min(1.0),
+                            "pmax {} < progress {prog} at curr {} ({cell})",
+                            s.estimates[1],
+                            s.curr
+                        );
+                    }
                     prop_assert!(
-                        (sa.curr, sa.lb, sa.ub) == (sb.curr, sb.lb, sb.ub),
-                        "checkpoint {i} (curr, lb, ub) diverges at {morsel}/{batch}"
+                        snaps.windows(2).all(|w| w[0].curr < w[1].curr),
+                        "curr not strictly increasing ({cell})"
                     );
-                    let bits =
-                        |e: &[f64]| e.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let last = snaps.last().expect("a final checkpoint");
                     prop_assert!(
-                        bits(&sa.estimates) == bits(&sb.estimates),
-                        "checkpoint {i} estimator readings diverge at {morsel}/{batch}: \
-                         {:?} vs {:?}",
-                        sa.estimates,
-                        sb.estimates
+                        (last.curr, last.lb, last.ub) == (total, total, total),
+                        "last checkpoint ({}, {}, {}) is not at total(Q) {total} ({cell})",
+                        last.curr,
+                        last.lb,
+                        last.ub
                     );
                 }
             }
@@ -563,7 +594,7 @@ struct CancelAt {
 }
 
 impl Observer for CancelAt {
-    fn on_event(&mut self, _event: ExecEvent, counters: &Counters) {
+    fn checkpoint(&mut self, counters: &Counters) {
         if counters.total() >= self.at {
             self.token.cancel();
         }
@@ -590,7 +621,8 @@ fn mid_flight_cancel_lands_in_cancelled() {
                 ..RunControls::default()
             };
             let mut run = QueryRun::with_controls(&par, &db, controls).unwrap();
-            run.set_observer(Box::new(CancelAt { token, at: 25 }));
+            run.context()
+                .set_observer(Box::new(CancelAt { token, at: 25 }), 1);
             match run.run() {
                 Err(ExecError::Cancelled) => {}
                 other => {
