@@ -808,11 +808,12 @@ pub trait Operator: Send {
 /// tree. Parent operators hold `Counted` children, so *every* row crossing
 /// an operator boundary is counted exactly once at the producing node.
 ///
-/// `Counted` is also where cooperative cancellation bites: each `open` and
-/// `next` first checks the context's [`CancelToken`]. Because every leaf of
-/// the runtime tree is `Counted` and every blocking phase (sort buffering,
-/// hash build) pumps a `Counted` child row by row, a cancelled query stops
-/// within one tuple's worth of work no matter which pipeline is running.
+/// `Counted` is also where cooperative cancellation bites: each `open`,
+/// `next` and `next_batch` first checks the context's [`CancelToken`].
+/// Because every leaf of the runtime tree is `Counted` and every blocking
+/// phase (sort buffering, hash build, hash aggregation) pumps a `Counted`
+/// child batch by batch, a cancelled query stops within one batch's worth
+/// of work ([`ExecTuning::batch_rows`]) no matter which pipeline is running.
 pub struct Counted {
     inner: Box<dyn Operator>,
     node: NodeId,
@@ -924,6 +925,24 @@ impl Counted {
     /// reads its workers' forked contexts through this).
     pub(crate) fn ctx(&self) -> &Arc<ExecContext> {
         &self.ctx
+    }
+
+    /// Pulls every remaining row in batches of the query's
+    /// [`ExecTuning::batch_rows`] and hands each to `sink`, in order:
+    /// the input loop of a pipeline breaker's `open` (sort buffering,
+    /// hash build, hash aggregation).
+    pub(crate) fn drain(&mut self, mut sink: impl FnMut(Row) -> ExecResult<()>) -> ExecResult<()> {
+        let batch = self.ctx.tuning().batch_rows.max(1);
+        let mut rows = Vec::with_capacity(batch);
+        loop {
+            let more = self.next_batch(batch, &mut rows)?;
+            for row in rows.drain(..) {
+                sink(row)?;
+            }
+            if !more {
+                return Ok(());
+            }
+        }
     }
 
     /// Begins this wrapper's operator span on the first open. The

@@ -15,7 +15,8 @@ fn group_output(key: &[Value], states: &[AggState]) -> Row {
     Row::new(vals)
 }
 
-/// Hash aggregation: drains its child at `open`, groups rows, then emits
+/// Hash aggregation: drains its child at `open` (in batches of
+/// `ExecTuning::batch_rows`), groups rows, then emits
 /// one row per group. A `BTreeMap` keyed by the group values keeps output
 /// order deterministic (sorted by group key), which real systems don't
 /// guarantee but which makes the reproduction's results stable.
@@ -57,7 +58,7 @@ impl Operator for HashAggregateOp {
         self.groups.clear();
         let mut key_buf = Vec::new();
         let mut saw_input = false;
-        while let Some(row) = self.child.next()? {
+        self.child.drain(|row| {
             saw_input = true;
             row.extract_key_into(&self.group_by, &mut key_buf);
             if !self.groups.contains_key(&key_buf) {
@@ -72,7 +73,8 @@ impl Operator for HashAggregateOp {
             for (st, agg) in states.iter_mut().zip(&self.aggs) {
                 st.update(agg, &row)?;
             }
-        }
+            Ok(())
+        })?;
         self.output = self
             .groups
             .iter()

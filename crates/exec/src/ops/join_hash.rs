@@ -1,8 +1,10 @@
 //! Hash join.
 //!
-//! The left child is the **build** side (consumed entirely at `open`, which
-//! is the build pipeline of the paper's decomposition); the right child is
-//! the **probe** side, streamed row-at-a-time. Example 3 of the paper uses
+//! The left child is the **build** side (consumed entirely at `open`, in
+//! batches, which is the build pipeline of the paper's decomposition); the
+//! right child is the **probe** side, streamed a batch at a time when the
+//! parent pulls batches and a row at a time when it pulls rows (a `Limit`
+//! above must not make the probe side overrun). Example 3 of the paper uses
 //! exactly this operator to show why scan-based plans make progress
 //! estimation tractable: both inputs are scanned in full, so the total
 //! getnext count is tightly bounded.
@@ -40,6 +42,10 @@ pub struct HashJoinOp {
     pending: Vec<usize>,
     pending_pos: usize,
     current_probe: Option<Row>,
+    /// Probe rows pulled by one `next_batch` and not yet joined.
+    probe_rows: std::vec::IntoIter<Row>,
+    /// Whether the probe child may still produce rows.
+    probe_more: bool,
     probe_done: bool,
     /// Post-probe sweep position for outer/anti.
     sweep_pos: usize,
@@ -67,6 +73,8 @@ impl HashJoinOp {
             pending: Vec::new(),
             pending_pos: 0,
             current_probe: None,
+            probe_rows: Vec::new().into_iter(),
+            probe_more: true,
             probe_done: false,
             sweep_pos: 0,
             key_buf: Vec::new(),
@@ -98,44 +106,39 @@ impl HashJoinOp {
         }
         None
     }
-}
 
-impl Operator for HashJoinOp {
-    fn open(&mut self) -> ExecResult<()> {
-        self.build.open()?;
-        self.table.clear();
-        self.rows.clear();
-        while let Some(row) = self.build.next()? {
-            row.extract_key_into(&self.build_keys, &mut self.key_buf);
-            let idx = self.rows.len();
-            self.rows.push(BuildRow {
-                row,
-                matched: false,
-            });
-            if !key_has_null(&self.key_buf) {
-                self.table
-                    .entry(std::mem::take(&mut self.key_buf))
-                    .or_default()
-                    .push(idx);
+    /// The next probe row: from the buffered probe batch, else pulled
+    /// from the probe child — one row when `batch` is `None`, otherwise a
+    /// batch of up to `batch` rows.
+    fn next_probe(&mut self, batch: Option<usize>) -> ExecResult<Option<Row>> {
+        loop {
+            if let Some(row) = self.probe_rows.next() {
+                return Ok(Some(row));
             }
+            if !self.probe_more {
+                return Ok(None);
+            }
+            let Some(max) = batch else {
+                let row = self.probe.next()?;
+                self.probe_more = row.is_some();
+                return Ok(row);
+            };
+            let mut rows = Vec::with_capacity(max);
+            self.probe_more = self.probe.next_batch(max, &mut rows)?;
+            self.probe_rows = rows.into_iter();
         }
-        self.probe.open()?;
-        self.pending.clear();
-        self.pending_pos = 0;
-        self.current_probe = None;
-        self.probe_done = false;
-        self.sweep_pos = 0;
-        Ok(())
     }
 
-    fn next(&mut self) -> ExecResult<Option<Row>> {
+    /// The next output row, pulling probe rows as [`Self::next_probe`]
+    /// does for `batch`.
+    fn produce(&mut self, batch: Option<usize>) -> ExecResult<Option<Row>> {
         loop {
             // Drain matches for the current probe row first.
             if let Some(row) = self.next_pending() {
                 return Ok(Some(row));
             }
             if !self.probe_done {
-                match self.probe.next()? {
+                match self.next_probe(batch)? {
                     Some(probe_row) => {
                         probe_row.extract_key_into(&self.probe_keys, &mut self.key_buf);
                         self.pending.clear();
@@ -180,10 +183,57 @@ impl Operator for HashJoinOp {
             return Ok(None);
         }
     }
+}
+
+impl Operator for HashJoinOp {
+    fn open(&mut self) -> ExecResult<()> {
+        self.build.open()?;
+        self.table.clear();
+        self.rows.clear();
+        self.build.drain(|row| {
+            row.extract_key_into(&self.build_keys, &mut self.key_buf);
+            let idx = self.rows.len();
+            self.rows.push(BuildRow {
+                row,
+                matched: false,
+            });
+            if !key_has_null(&self.key_buf) {
+                self.table
+                    .entry(std::mem::take(&mut self.key_buf))
+                    .or_default()
+                    .push(idx);
+            }
+            Ok(())
+        })?;
+        self.probe.open()?;
+        self.pending.clear();
+        self.pending_pos = 0;
+        self.current_probe = None;
+        self.probe_rows = Vec::new().into_iter();
+        self.probe_more = true;
+        self.probe_done = false;
+        self.sweep_pos = 0;
+        Ok(())
+    }
+
+    fn next(&mut self) -> ExecResult<Option<Row>> {
+        self.produce(None)
+    }
+
+    fn next_batch(&mut self, max: usize, out: &mut Vec<Row>) -> ExecResult<bool> {
+        for _ in 0..max {
+            match self.produce(Some(max))? {
+                Some(row) => out.push(row),
+                None => return Ok(false),
+            }
+        }
+        Ok(true)
+    }
 
     fn close(&mut self) {
         self.table = HashMap::new();
         self.rows = Vec::new();
+        self.probe_rows = Vec::new().into_iter();
         self.build.close();
         self.probe.close();
     }

@@ -1,10 +1,16 @@
 //! Leaf operators: sequential heap scan and B+Tree range scan, plus their
 //! morsel-consuming variants for work-stealing parallel scans.
+//!
+//! `next` reads one row with [`Table::row`]; `next_batch` reads its rows
+//! with [`Table::read_range`] or [`Table::read_rids`], so a paged table
+//! pins each page once per batch and decodes its cells with the scan's
+//! own [`RowDecoder`].
 
 use crate::context::{ExecContext, Operator};
 use crate::error::ExecResult;
 use qp_storage::{
-    IndexMeta, MorselDispenser, Row, RowId, ScanShare, Schema, SharedCursor, Table, Value,
+    IndexMeta, MorselDispenser, Row, RowDecoder, RowId, ScanShare, Schema, SharedCursor, Table,
+    Value,
 };
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,6 +26,7 @@ pub struct SeqScanOp {
     start: usize,
     end: usize,
     pos: usize,
+    decoder: RowDecoder,
 }
 
 impl SeqScanOp {
@@ -30,6 +37,7 @@ impl SeqScanOp {
             start: 0,
             end,
             pos: 0,
+            decoder: RowDecoder::new(),
         }
     }
 
@@ -41,6 +49,7 @@ impl SeqScanOp {
             start,
             end,
             pos: start,
+            decoder: RowDecoder::new(),
         }
     }
 }
@@ -66,10 +75,8 @@ impl Operator for SeqScanOp {
             return Ok(false);
         }
         let take = max.min(self.end - self.pos);
-        out.reserve(take);
-        for rid in self.pos..self.pos + take {
-            out.push(self.table.row(rid as RowId));
-        }
+        let rids = self.pos as RowId..(self.pos + take) as RowId;
+        self.table.read_range(rids, &mut self.decoder, out);
         self.pos += take;
         Ok(self.pos < self.end)
     }
@@ -121,20 +128,12 @@ impl Operator for SharedSeqScanOp {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Vec<Row>) -> ExecResult<bool> {
-        let cursor = self.cursor();
-        out.reserve(max.min(cursor.len()));
-        for _ in 0..max {
-            match cursor.next() {
-                Some(row) => out.push(row),
-                None => return Ok(false),
-            }
-        }
-        Ok(true)
+        Ok(self.cursor().next_batch(max, out))
     }
 
     fn close(&mut self) {
-        // Detach promptly: a finished scan must not pin the epoch (and
-        // its row cache) until the operator tree drops.
+        // Detach promptly: an abandoned scan must not pin the epoch (and
+        // its window) until the operator tree drops.
         self.cursor = None;
     }
 
@@ -156,6 +155,7 @@ pub struct IndexRangeScanOp {
     partition: (usize, usize),
     rids: Vec<RowId>,
     pos: usize,
+    decoder: RowDecoder,
 }
 
 impl IndexRangeScanOp {
@@ -173,6 +173,7 @@ impl IndexRangeScanOp {
             partition: (0, 1),
             rids: Vec::new(),
             pos: 0,
+            decoder: RowDecoder::new(),
         }
     }
 
@@ -227,10 +228,8 @@ impl Operator for IndexRangeScanOp {
             return Ok(false);
         }
         let take = max.min(self.rids.len() - self.pos);
-        out.reserve(take);
-        for &rid in &self.rids[self.pos..self.pos + take] {
-            out.push(self.table.row(rid));
-        }
+        let rids = &self.rids[self.pos..self.pos + take];
+        self.table.read_rids(rids, &mut self.decoder, out);
         self.pos += take;
         Ok(self.pos < self.rids.len())
     }
@@ -255,6 +254,7 @@ struct MorselCursor {
     /// (`pos == end` ⇒ claim before producing).
     pos: usize,
     end: usize,
+    decoder: RowDecoder,
 }
 
 impl MorselCursor {
@@ -269,6 +269,7 @@ impl MorselCursor {
             tag,
             pos: 0,
             end: 0,
+            decoder: RowDecoder::new(),
         }
     }
 
@@ -349,10 +350,8 @@ impl Operator for MorselSeqScanOp {
             return Ok(false);
         }
         let take = max.min(self.cursor.end - self.cursor.pos);
-        out.reserve(take);
-        for rid in self.cursor.pos..self.cursor.pos + take {
-            out.push(self.table.row(rid as RowId));
-        }
+        let rids = self.cursor.pos as RowId..(self.cursor.pos + take) as RowId;
+        self.table.read_range(rids, &mut self.cursor.decoder, out);
         self.cursor.pos += take;
         Ok(true)
     }
@@ -437,10 +436,8 @@ impl Operator for MorselIndexScanOp {
             return Ok(false);
         }
         let take = max.min(self.cursor.end - self.cursor.pos);
-        out.reserve(take);
-        for &rid in &self.rids[self.cursor.pos..self.cursor.pos + take] {
-            out.push(self.table.row(rid));
-        }
+        let rids = &self.rids[self.cursor.pos..self.cursor.pos + take];
+        self.table.read_rids(rids, &mut self.cursor.decoder, out);
         self.cursor.pos += take;
         Ok(true)
     }

@@ -44,9 +44,10 @@ impl Operator for SortOp {
     fn open(&mut self) -> ExecResult<()> {
         self.child.open()?;
         self.buffer.clear();
-        while let Some(row) = self.child.next()? {
+        self.child.drain(|row| {
             self.buffer.push(row);
-        }
+            Ok(())
+        })?;
         let keys = self.keys.clone();
         // Stable sort keeps the arrival order of equal keys, which keeps
         // run-to-run output deterministic.

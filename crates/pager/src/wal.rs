@@ -320,6 +320,17 @@ impl WalTxn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// `wal_stats()` is process-global, so a test that diffs it must not
+    /// overlap any other test that commits or recovers a WAL. Every such
+    /// test in this module holds this lock for its whole body.
+    static WAL_TRAFFIC: Mutex<()> = Mutex::new(());
+
+    fn serialize_wal_traffic() -> MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the guarded state is `()`.
+        WAL_TRAFFIC.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qp-wal-test-{}", std::process::id()));
@@ -348,6 +359,7 @@ mod tests {
 
     #[test]
     fn clean_commit_applies_and_truncates() {
+        let _serial = serialize_wal_traffic();
         let data = tmp("clean.qpt");
         let walp = tmp("clean.wal");
         let _ = std::fs::remove_file(&data);
@@ -365,6 +377,7 @@ mod tests {
 
     #[test]
     fn pre_commit_crashes_roll_back_exactly() {
+        let _serial = serialize_wal_traffic();
         for point in [
             CrashPoint::BeforeWal,
             CrashPoint::TornWal,
@@ -394,6 +407,7 @@ mod tests {
 
     #[test]
     fn post_commit_crashes_replay_to_the_committed_image() {
+        let _serial = serialize_wal_traffic();
         for point in [
             CrashPoint::AfterCommit,
             CrashPoint::MidApply,
@@ -419,6 +433,7 @@ mod tests {
 
     #[test]
     fn recovery_is_idempotent_under_repeated_crashes() {
+        let _serial = serialize_wal_traffic();
         let data = tmp("idem.qpt");
         let walp = tmp("idem.wal");
         let _ = std::fs::remove_file(&data);
@@ -440,6 +455,7 @@ mod tests {
 
     #[test]
     fn last_writer_wins_within_a_transaction() {
+        let _serial = serialize_wal_traffic();
         let data = tmp("lww.qpt");
         let walp = tmp("lww.wal");
         let _ = std::fs::remove_file(&data);
@@ -453,6 +469,7 @@ mod tests {
 
     #[test]
     fn wal_stats_count_bytes_and_fsyncs() {
+        let _serial = serialize_wal_traffic();
         let (b0, f0) = wal_stats();
         let data = tmp("stats.qpt");
         let walp = tmp("stats.wal");

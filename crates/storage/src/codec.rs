@@ -9,6 +9,7 @@
 use crate::error::{StorageError, StorageResult};
 use crate::row::Row;
 use crate::value::Value;
+use std::sync::Arc;
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -65,6 +66,20 @@ pub fn encoded_len(row: &Row) -> usize {
 
 /// Decodes one row from a page cell.
 pub fn decode_row(cell: &[u8]) -> StorageResult<Row> {
+    let mut values = Vec::new();
+    decode_values(cell, &mut values, |_, s| Arc::from(s))?;
+    Ok(Row::new(values))
+}
+
+/// Parses `cell` into `values` (cleared first), building each string
+/// through `make_str(column, text)`. Every corrupt-cell error of the
+/// format is raised here, for both decoders.
+fn decode_values(
+    cell: &[u8],
+    values: &mut Vec<Value>,
+    mut make_str: impl FnMut(usize, &str) -> Arc<str>,
+) -> StorageResult<()> {
+    values.clear();
     let corrupt = |what: &str| StorageError::ReadFailed(format!("row cell corrupt: {what}"));
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> StorageResult<&[u8]> {
@@ -74,8 +89,8 @@ pub fn decode_row(cell: &[u8]) -> StorageResult<Row> {
         Ok(s)
     };
     let arity = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
+    values.reserve(arity);
+    for column in 0..arity {
         let tag = take(&mut pos, 1)?[0];
         values.push(match tag {
             TAG_NULL => Value::Null,
@@ -88,7 +103,7 @@ pub fn decode_row(cell: &[u8]) -> StorageResult<Row> {
                 let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
                 let bytes = take(&mut pos, len)?;
                 let s = std::str::from_utf8(bytes).map_err(|_| corrupt("non-utf8 string"))?;
-                Value::Str(s.into())
+                Value::Str(make_str(column, s))
             }
             TAG_DATE => Value::Date(i32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap())),
             _ => return Err(corrupt("unknown value tag")),
@@ -97,12 +112,76 @@ pub fn decode_row(cell: &[u8]) -> StorageResult<Row> {
     if pos != cell.len() {
         return Err(corrupt("trailing bytes"));
     }
-    Ok(Row::new(values))
+    Ok(())
+}
+
+/// Distinct strings a [`RowDecoder`] remembers per column.
+const DICT_ENTRIES: usize = 8;
+
+/// A row decoder reused across the cells of a scan.
+///
+/// It decodes exactly like [`decode_row`] with two savings. The row's
+/// values are staged in a reused buffer and moved into the row's one
+/// allocation. Each column remembers up to 8 distinct strings (once
+/// full, a new string replaces the oldest one), and a string equal to a
+/// remembered one shares its `Arc<str>` instead of allocating, which
+/// covers flag, mode and status columns. Strings compare by content, so
+/// sharing is invisible to results.
+#[derive(Debug, Default)]
+pub struct RowDecoder {
+    scratch: Vec<Value>,
+    /// Per column position: recently decoded strings.
+    dicts: Vec<StrDict>,
+}
+
+#[derive(Debug, Default)]
+struct StrDict {
+    entries: Vec<Arc<str>>,
+    /// Slot the next new string replaces once the dictionary is full.
+    next: usize,
+}
+
+impl StrDict {
+    fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(hit) = self.entries.iter().find(|e| e.as_ref() == s) {
+            return Arc::clone(hit);
+        }
+        let fresh: Arc<str> = Arc::from(s);
+        if self.entries.len() < DICT_ENTRIES {
+            self.entries.push(Arc::clone(&fresh));
+        } else {
+            self.entries[self.next] = Arc::clone(&fresh);
+            self.next = (self.next + 1) % DICT_ENTRIES;
+        }
+        fresh
+    }
+}
+
+impl RowDecoder {
+    /// A decoder with nothing cached yet.
+    pub fn new() -> RowDecoder {
+        RowDecoder::default()
+    }
+
+    /// Decodes one row from a page cell; same result and same errors
+    /// as [`decode_row`].
+    pub fn decode(&mut self, cell: &[u8]) -> StorageResult<Row> {
+        let dicts = &mut self.dicts;
+        decode_values(cell, &mut self.scratch, |column, s| {
+            if dicts.len() <= column {
+                dicts.resize_with(column + 1, StrDict::default);
+            }
+            dicts[column].intern(s)
+        })?;
+        // `Drain` has an exact length, so this is a single allocation.
+        Ok(Row::from_shared(self.scratch.drain(..).collect()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qp_testkit::rng::TestRng;
 
     #[test]
     fn every_value_kind_round_trips_exactly() {
@@ -146,6 +225,105 @@ mod tests {
         let mut bad_tag = buf.clone();
         bad_tag[2] = 99;
         assert!(decode_row(&bad_tag).is_err());
+    }
+
+    /// Bit-exact row equality: the encoding carries float bit patterns.
+    fn bits(row: &Row) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_row(row, &mut buf);
+        buf
+    }
+
+    fn random_value(rng: &mut TestRng, strings: &[Arc<str>]) -> Value {
+        match rng.u64_below(7) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.random_bool(0.5)),
+            2 => Value::Int(rng.next_u64() as i64),
+            3 => Value::Float(match rng.u64_below(4) {
+                0 => f64::NAN,
+                1 => -0.0,
+                2 => f64::from_bits(rng.next_u64()),
+                _ => rng.unit_f64() * 1e6 - 5e5,
+            }),
+            4 => Value::Date(rng.next_u64() as i32),
+            _ => Value::Str(Arc::clone(
+                &strings[rng.u64_below(strings.len() as u64) as usize],
+            )),
+        }
+    }
+
+    #[test]
+    fn the_reusable_decoder_matches_decode_row_on_random_rows() {
+        let mut rng = TestRng::seed_from_u64(0xdec0de);
+        // More distinct strings than one column's dictionary holds, so
+        // entries get replaced mid-scan.
+        let mut strings: Vec<Arc<str>> = vec!["".into(), "héllo ⋈ wörld".into()];
+        strings.extend((0..2 * DICT_ENTRIES).map(|i| Arc::from(format!("s{i}"))));
+        let mut decoder = RowDecoder::new();
+        let mut cell = Vec::new();
+        for _ in 0..5_000 {
+            let arity = rng.u64_below(9) as usize;
+            let row = Row::new(
+                (0..arity)
+                    .map(|_| random_value(&mut rng, &strings))
+                    .collect(),
+            );
+            cell.clear();
+            encode_row(&row, &mut cell);
+            let reference = decode_row(&cell).unwrap();
+            let reused = decoder.decode(&cell).unwrap();
+            assert_eq!(bits(&reference), cell);
+            assert_eq!(bits(&reused), cell, "{row:?}");
+        }
+    }
+
+    #[test]
+    fn the_decoder_shares_a_repeated_string_within_a_column() {
+        let row = Row::new(vec![Value::str("AIR"), Value::str("AIR")]);
+        let mut cell = Vec::new();
+        encode_row(&row, &mut cell);
+        let mut decoder = RowDecoder::new();
+        let (a, b) = (
+            decoder.decode(&cell).unwrap(),
+            decoder.decode(&cell).unwrap(),
+        );
+        let ptr = |r: &Row, i: usize| match r.get(i) {
+            Value::Str(s) => Arc::as_ptr(s),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(ptr(&a, 0), ptr(&b, 0), "same column, same string: shared");
+        assert_ne!(ptr(&a, 0), ptr(&a, 1), "dictionaries are per column");
+    }
+
+    #[test]
+    fn both_decoders_reject_every_corrupt_cell() {
+        let row = Row::new(vec![Value::Int(42), Value::str("abc")]);
+        let mut good = Vec::new();
+        encode_row(&row, &mut good);
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut bad_tag = good.clone();
+        bad_tag[2] = 99;
+        let mut bad_utf8 = good.clone();
+        let last = bad_utf8.len() - 1;
+        bad_utf8[last] = 0xff;
+        let mut cases: Vec<(Vec<u8>, &str)> = (0..good.len())
+            .map(|cut| (good[..cut].to_vec(), "truncated"))
+            .collect();
+        cases.push((trailing, "trailing bytes"));
+        cases.push((bad_tag, "unknown value tag"));
+        cases.push((bad_utf8, "non-utf8 string"));
+        let mut decoder = RowDecoder::new();
+        for (cell, what) in &cases {
+            for err in [
+                decode_row(cell).unwrap_err(),
+                decoder.decode(cell).unwrap_err(),
+            ] {
+                assert!(err.to_string().contains(what), "{err} for {cell:?}");
+            }
+            // A failed decode leaves the decoder ready for the next cell.
+            assert_eq!(bits(&decoder.decode(&good).unwrap()), good);
+        }
     }
 
     #[test]

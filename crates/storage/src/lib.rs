@@ -46,6 +46,7 @@ pub mod value;
 
 pub use btree::BTreeIndex;
 pub use catalog::{Database, IndexMeta};
+pub use codec::RowDecoder;
 pub use error::{StorageError, StorageResult};
 pub use morsel::{Morsel, MorselDispenser};
 pub use qp_pager::{wal_stats, BufferPool, CrashPoint, PoolStats};

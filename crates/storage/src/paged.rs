@@ -475,6 +475,55 @@ mod tests {
     }
 
     #[test]
+    fn range_and_rid_reads_match_row_by_row_across_pages() {
+        let dir = tmp("ranges");
+        let db = sample_db(500);
+        save_database(&db, &dir).unwrap();
+        let paged = open_database(&dir, 2).unwrap();
+        let t = paged.table("t").unwrap();
+        let per_page = t.page_rows().unwrap();
+        assert!((2..100).contains(&per_page), "{per_page} rows per page");
+        let mut decoder = crate::codec::RowDecoder::new();
+        let by_row = |rids: &mut dyn Iterator<Item = u64>| -> Vec<Row> {
+            rids.map(|rid| t.row(rid)).collect()
+        };
+        for range in [
+            0..500,
+            per_page - 1..per_page + 1,
+            3..3 * per_page + 2,
+            499..500,
+            7..7,
+        ] {
+            let mut rows = Vec::new();
+            t.read_range(range.clone(), &mut decoder, &mut rows);
+            assert_eq!(rows, by_row(&mut range.clone()), "{range:?}");
+        }
+        let rids = [
+            0,
+            1,
+            2,
+            3 * per_page,
+            3 * per_page + 1,
+            5,
+            5,
+            499,
+            0,
+            per_page,
+        ];
+        let mut rows = Vec::new();
+        t.read_rids(&rids, &mut decoder, &mut rows);
+        assert_eq!(rows, by_row(&mut rids.iter().copied()));
+        // One pin per page, not per row.
+        let pool = paged.buffer_pool().unwrap();
+        pool.reset_stats();
+        rows.clear();
+        t.read_range(0..500, &mut decoder, &mut rows);
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, 500u64.div_ceil(per_page));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn tiny_pool_thrashes_but_stays_correct() {
         let dir = tmp("thrash");
         let db = sample_db(500);

@@ -22,6 +22,11 @@ impl Row {
         }
     }
 
+    /// Wraps an already-built value slice without copying it.
+    pub(crate) fn from_shared(values: Arc<[Value]>) -> Row {
+        Row { values }
+    }
+
     /// The empty row (used by zero-column aggregations).
     pub fn empty() -> Row {
         Row {

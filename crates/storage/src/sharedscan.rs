@@ -13,71 +13,117 @@
 //! row sequence a solo scan would — same rows, same order, same length
 //! — or its counters, estimator readings, and `total(Q)` drift.
 //!
-//! The design is therefore **attach-and-replay**, not row routing:
+//! The design is a **bounded shared window**, not row routing:
 //!
 //! * A [`ScanShare`] registry maps a live table (by `Arc` identity) to
 //!   its current [`ScanGroup`] — one *epoch* of sharing. Attaching
-//!   yields a [`SharedCursor`]; dropping the cursor detaches, and the
-//!   epoch ends (its entry is removed, its cache freed) when the last
-//!   attacher leaves. The next scan of that table starts a fresh epoch.
-//! * The group materializes the table once, chunk by chunk, on demand:
-//!   whichever cursor first needs chunk `i` produces it (a short burst
-//!   of `Table::row` reads) under the group's production lock and
-//!   publishes it as an `Arc<[Row]>` chunk every attacher replays.
-//!   Physical reads happen once per epoch — N identical scans cost ~1
-//!   pass — while every cursor logically sees the full insertion-order
-//!   sequence from row 0, regardless of when it attached.
-//! * Late attachers replay already-produced chunks from the cache and
-//!   only wait (briefly, on the production lock) at the frontier. A
-//!   cursor dropped mid-scan — a cancelled session — just decrements
-//!   the attach count; production continues only as long as someone
+//!   yields a [`SharedCursor`]; a cursor detaches when it has served its
+//!   last row or is dropped, and the epoch ends (its entry is removed)
+//!   when the last attacher leaves. The next scan of that table starts a
+//!   fresh epoch.
+//! * The group reads the table in chunks, on demand: whichever cursor
+//!   first needs chunk `i` reads it (one [`Table::read_range`], page at
+//!   a time) under the group's lock and publishes it as an `Arc<[Row]>`
+//!   every other attached cursor replays. N cursors moving together
+//!   cost ~1 physical pass.
+//! * A chunk stays resident only while an attached cursor still needs
+//!   it: each cursor registers the chunk it reads next, and every chunk
+//!   below the lowest registration is released. A solo scan therefore
+//!   holds one chunk, not the decoded table, and the window spans at
+//!   most the gap between the slowest and the fastest attacher.
+//! * A cursor that needs a chunk that was already released — a late
+//!   attacher, or a rewound one — reads that chunk from the table
+//!   itself, without publishing it, then joins the window where it
+//!   starts. Every cursor still sees the full insertion-order sequence
+//!   from row 0, regardless of when it attached.
+//! * A cursor dropped mid-scan — a cancelled session — just withdraws
+//!   its registration; production continues only as long as someone
 //!   still needs rows.
-//!
-//! Memory is bounded by the epoch lifecycle: a group caches at most one
-//! table's rows, and only while at least one scan is in flight.
 
+use crate::codec::RowDecoder;
 use crate::row::Row;
 use crate::table::{RowId, Table};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Rows per produced chunk. Purely a producer granularity / lock-hold
-/// knob: replay order is row-by-row, so the chunk size is invisible to
-/// attachers (and to counters).
+/// Rows per produced chunk: the producer granularity, the lock-hold
+/// unit, and the window's unit of residency. Replay order is row by
+/// row, so the chunk size is invisible to attachers (and to counters).
 const CHUNK_ROWS: usize = 1024;
 
 /// Monotone counters describing sharing effectiveness, exposed over the
 /// service `METRICS` endpoint. All relaxed: totals, not invariants.
 #[derive(Debug, Default)]
 pub struct ScanShareStats {
-    /// Cursors handed out (one per attaching scan).
+    /// Cursors handed out (one per attaching scan, plus one per rewind
+    /// of a cursor that had already finished and detached).
     pub attaches: AtomicU64,
-    /// Attaches that joined an epoch already in flight — each one is a
-    /// table pass avoided.
+    /// Attaches that joined an epoch already in flight.
     pub shared_attaches: AtomicU64,
     /// Epochs started (groups created).
     pub groups: AtomicU64,
-    /// Rows physically read from tables by producers.
+    /// Rows physically read from tables: chunks published to the
+    /// window plus chunks re-read privately by cursors that needed an
+    /// already-released one.
     pub rows_produced: AtomicU64,
-    /// Rows replayed to cursors (≥ `rows_produced` whenever sharing
+    /// Rows replayed to cursors (> `rows_produced` whenever sharing
     /// actually deduplicated work).
     pub rows_served: AtomicU64,
 }
 
-/// One epoch of shared scanning over one table: the chunk cache, the
-/// production frontier, and the attach count that scopes its lifetime.
+/// The resident part of an epoch's chunk sequence.
+#[derive(Debug, Default)]
+struct Window {
+    /// Index of `chunks[0]`; every chunk below it was released.
+    first: usize,
+    chunks: VecDeque<Arc<[Row]>>,
+    /// For each chunk index, how many attached cursors read it next.
+    needs: BTreeMap<usize, usize>,
+}
+
+impl Window {
+    /// One past the last chunk ever produced.
+    fn frontier(&self) -> usize {
+        self.first + self.chunks.len()
+    }
+
+    fn need(&mut self, chunk: usize) {
+        *self.needs.entry(chunk).or_default() += 1;
+    }
+
+    fn unneed(&mut self, chunk: usize) {
+        if let Some(n) = self.needs.get_mut(&chunk) {
+            *n -= 1;
+            if *n == 0 {
+                self.needs.remove(&chunk);
+            }
+        }
+    }
+
+    /// Drops every resident chunk below the lowest chunk an attached
+    /// cursor still needs.
+    fn release(&mut self) {
+        let keep_from = self.needs.keys().next().copied().unwrap_or(usize::MAX);
+        while self.first < keep_from && self.chunks.pop_front().is_some() {
+            self.first += 1;
+        }
+    }
+}
+
+/// One epoch of shared scanning over one table: the chunk window and
+/// the attach count that scopes its lifetime.
 #[derive(Debug)]
 pub struct ScanGroup {
     table: Arc<Table>,
     /// Total rows this epoch serves (latched at creation; tables are
     /// frozen, so this equals `table.len()` for the epoch's lifetime).
     len: usize,
-    /// Produced chunks, in order. The `Mutex` is also the production
-    /// lock: whoever holds it and finds the needed chunk missing reads
-    /// it from the table, so exactly one attacher performs each
-    /// physical read burst.
-    chunks: Mutex<Vec<Arc<[Row]>>>,
+    /// The resident chunks. The `Mutex` is also the production lock:
+    /// whoever holds it and finds the needed chunk unproduced reads it
+    /// from the table, so exactly one attacher performs each published
+    /// read.
+    window: Mutex<Window>,
     attachers: AtomicUsize,
 }
 
@@ -87,33 +133,67 @@ impl ScanGroup {
         ScanGroup {
             table,
             len,
-            chunks: Mutex::new(Vec::new()),
+            window: Mutex::new(Window::default()),
             attachers: AtomicUsize::new(0),
         }
     }
 
-    /// The chunk containing row `index * CHUNK_ROWS`, producing it (and
-    /// any earlier unproduced chunks) from the table if this cursor is
-    /// first past the frontier.
-    fn chunk(&self, index: usize, stats: &ScanShareStats) -> Arc<[Row]> {
-        let mut chunks = match self.chunks.lock() {
-            Ok(g) => g,
-            // A poisoning panic can only have happened mid-`Vec::push`;
-            // the produced prefix is still coherent, so keep serving.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        while chunks.len() <= index {
-            let start = chunks.len() * CHUNK_ROWS;
-            let end = (start + CHUNK_ROWS).min(self.len);
-            let rows: Vec<Row> = (start..end)
-                .map(|rid| self.table.row(rid as RowId))
-                .collect();
-            stats
-                .rows_produced
-                .fetch_add((end - start) as u64, Ordering::Relaxed);
-            chunks.push(rows.into());
+    fn window(&self) -> MutexGuard<'_, Window> {
+        // A poisoning panic can only have happened mid-read or mid-push;
+        // the resident chunks are still coherent, so keep serving.
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Rows of chunk `index`, read from the table.
+    fn read_chunk(
+        &self,
+        index: usize,
+        decoder: &mut RowDecoder,
+        stats: &ScanShareStats,
+    ) -> Arc<[Row]> {
+        let start = index * CHUNK_ROWS;
+        let end = (start + CHUNK_ROWS).min(self.len);
+        let mut rows = Vec::new();
+        self.table
+            .read_range(start as RowId..end as RowId, decoder, &mut rows);
+        stats
+            .rows_produced
+            .fetch_add((end - start) as u64, Ordering::Relaxed);
+        rows.into()
+    }
+
+    /// Moves a cursor's registration from chunk `from` to chunk `index`
+    /// and returns chunk `index`: replayed from the window, produced into
+    /// it if this cursor is first past the frontier, or re-read privately
+    /// if it was already released.
+    fn chunk(
+        &self,
+        from: usize,
+        index: usize,
+        decoder: &mut RowDecoder,
+        stats: &ScanShareStats,
+    ) -> Arc<[Row]> {
+        let mut window = self.window();
+        window.unneed(from);
+        window.need(index);
+        window.release();
+        if index < window.first {
+            drop(window);
+            return self.read_chunk(index, decoder, stats);
         }
-        Arc::clone(&chunks[index])
+        while window.frontier() <= index {
+            let next = window.frontier();
+            let rows = self.read_chunk(next, decoder, stats);
+            window.chunks.push_back(rows);
+        }
+        Arc::clone(&window.chunks[index - window.first])
+    }
+
+    /// Withdraws a cursor's registration on chunk `from`.
+    fn leave(&self, from: usize) {
+        let mut window = self.window();
+        window.unneed(from);
+        window.release();
     }
 }
 
@@ -145,11 +225,24 @@ impl ScanShare {
     /// one exists, otherwise starts a new one. The returned cursor
     /// replays the full insertion-order row sequence from row 0.
     pub fn attach(self: &Arc<ScanShare>, table: &Arc<Table>) -> SharedCursor {
-        let key = Arc::as_ptr(table) as usize;
-        let mut groups = match self.groups.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+        let mut cursor = SharedCursor {
+            share: Arc::clone(self),
+            table: Arc::clone(table),
+            len: table.len(),
+            group: None,
+            need: 0,
+            pos: 0,
+            chunk: None,
+            decoder: RowDecoder::new(),
         };
+        cursor.join();
+        cursor
+    }
+
+    /// The table's live epoch, or a new one; counted as one attach.
+    fn group_for(&self, table: &Arc<Table>) -> Arc<ScanGroup> {
+        let key = Arc::as_ptr(table) as usize;
+        let mut groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
         self.stats.attaches.fetch_add(1, Ordering::Relaxed);
         let group = match groups.get(&key) {
             Some(group) => {
@@ -164,24 +257,14 @@ impl ScanShare {
             }
         };
         group.attachers.fetch_add(1, Ordering::Relaxed);
-        drop(groups);
-        SharedCursor {
-            share: Arc::clone(self),
-            group,
-            key,
-            pos: 0,
-            chunk: None,
-            chunk_index: 0,
-        }
+        group
     }
 
     /// Ends `group`'s epoch if it is still the registered one (a fresh
     /// epoch for the same table must not be evicted by a stale detach).
-    fn retire(&self, key: usize, group: &Arc<ScanGroup>) {
-        let mut groups = match self.groups.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+    fn retire(&self, table: &Arc<Table>, group: &Arc<ScanGroup>) {
+        let key = Arc::as_ptr(table) as usize;
+        let mut groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(current) = groups.get(&key) {
             if Arc::ptr_eq(current, group) {
                 groups.remove(&key);
@@ -191,35 +274,119 @@ impl ScanShare {
 }
 
 /// One attached scan: an independent replay position over its group's
-/// chunk sequence. Detaches (and possibly retires the epoch) on drop.
+/// chunk sequence. Detaches (and possibly retires the epoch) when it
+/// serves its last row or is dropped.
 #[derive(Debug)]
 pub struct SharedCursor {
     share: Arc<ScanShare>,
-    group: Arc<ScanGroup>,
-    key: usize,
-    /// Next row index to serve, in `[0, group.len]`.
+    table: Arc<Table>,
+    /// Total rows this scan produces.
+    len: usize,
+    /// The epoch this cursor is attached to; `None` once detached.
+    group: Option<Arc<ScanGroup>>,
+    /// The chunk this cursor is registered on in its group's window.
+    need: usize,
+    /// Next row index to serve, in `[0, len]`.
     pos: usize,
-    /// Cached current chunk (avoids a registry lock per row).
+    /// The chunk holding row `pos` (avoids a window lock per row).
     chunk: Option<Arc<[Row]>>,
-    chunk_index: usize,
+    /// Decodes the chunks this cursor reads (published or private).
+    decoder: RowDecoder,
 }
 
 impl SharedCursor {
+    /// Attaches to the table's epoch and registers on chunk 0.
+    fn join(&mut self) {
+        let group = self.share.group_for(&self.table);
+        group.window().need(0);
+        self.need = 0;
+        self.group = Some(group);
+    }
+
+    /// Detaches from the epoch, retiring it if this was the last
+    /// attacher.
+    fn leave(&mut self) {
+        self.chunk = None;
+        if let Some(group) = self.group.take() {
+            group.leave(self.need);
+            if group.attachers.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.share.retire(&self.table, &group);
+            }
+        }
+    }
+
     /// Rewinds to row 0 (operator `open` semantics — re-opened scans
-    /// replay from the start, exactly like a solo scan would).
+    /// replay from the start, exactly like a solo scan would). A cursor
+    /// that already finished attaches again.
     pub fn reset(&mut self) {
         self.pos = 0;
         self.chunk = None;
+        if self.group.is_none() {
+            self.join();
+        }
     }
 
     /// Total rows this scan will produce.
     pub fn len(&self) -> usize {
-        self.group.len
+        self.len
     }
 
     /// Whether the underlying table is empty.
     pub fn is_empty(&self) -> bool {
-        self.group.len == 0
+        self.len == 0
+    }
+
+    /// Chunks currently resident in this cursor's epoch window (0 once
+    /// detached).
+    pub fn resident_chunks(&self) -> usize {
+        self.group
+            .as_ref()
+            .map_or(0, |group| group.window().chunks.len())
+    }
+
+    /// Appends up to `max` rows to `out`, returning whether rows remain.
+    pub fn next_batch(&mut self, max: usize, out: &mut Vec<Row>) -> bool {
+        let mut served = 0;
+        while served < max && self.pos < self.len {
+            let offset = self.pos % CHUNK_ROWS;
+            let chunk = self.load_chunk();
+            let take = (max - served).min(chunk.len() - offset);
+            out.extend_from_slice(&chunk[offset..offset + take]);
+            self.pos += take;
+            served += take;
+        }
+        self.served(served)
+    }
+
+    /// The chunk holding row `pos` (which must be `< len`).
+    fn load_chunk(&mut self) -> &Arc<[Row]> {
+        let index = self.pos / CHUNK_ROWS;
+        if self.chunk.is_none() || self.need != index {
+            // Let go of the old chunk before the window may release it.
+            self.chunk = None;
+            let group = self
+                .group
+                .as_ref()
+                .expect("a cursor short of its end is attached");
+            let chunk = group.chunk(self.need, index, &mut self.decoder, &self.share.stats);
+            self.need = index;
+            self.chunk = Some(chunk);
+        }
+        self.chunk.as_ref().expect("chunk just installed")
+    }
+
+    /// Accounts `n` served rows and detaches at the end of the table;
+    /// returns whether rows remain.
+    fn served(&mut self, n: usize) -> bool {
+        self.share
+            .stats
+            .rows_served
+            .fetch_add(n as u64, Ordering::Relaxed);
+        if self.pos < self.len {
+            return true;
+        }
+        self.leave();
+        false
     }
 }
 
@@ -228,26 +395,21 @@ impl Iterator for SharedCursor {
 
     /// The next row in insertion order, or `None` at the end.
     fn next(&mut self) -> Option<Row> {
-        if self.pos >= self.group.len {
+        if self.pos >= self.len {
+            self.leave();
             return None;
         }
-        let index = self.pos / CHUNK_ROWS;
-        if self.chunk.is_none() || self.chunk_index != index {
-            self.chunk = Some(self.group.chunk(index, &self.share.stats));
-            self.chunk_index = index;
-        }
-        let row = self.chunk.as_ref().expect("chunk just installed")[self.pos % CHUNK_ROWS].clone();
+        let offset = self.pos % CHUNK_ROWS;
+        let row = self.load_chunk()[offset].clone();
         self.pos += 1;
-        self.share.stats.rows_served.fetch_add(1, Ordering::Relaxed);
+        self.served(1);
         Some(row)
     }
 }
 
 impl Drop for SharedCursor {
     fn drop(&mut self) {
-        if self.group.attachers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.share.retire(self.key, &self.group);
-        }
+        self.leave();
     }
 }
 
@@ -342,6 +504,80 @@ mod tests {
         assert_eq!(drain(cursor), direct);
         // The replay cost no second physical pass.
         assert_eq!(share.stats().rows_produced.load(Ordering::Relaxed), 50);
+    }
+
+    fn direct(t: &Table) -> Vec<Row> {
+        t.scan().map(|(_, row)| row).collect()
+    }
+
+    #[test]
+    fn a_solo_cursor_keeps_one_chunk_resident() {
+        let t = table(5 * CHUNK_ROWS + 7);
+        let share = Arc::new(ScanShare::new());
+        let direct = direct(&t);
+        let mut cursor = share.attach(&t);
+        let mut got = Vec::new();
+        while let Some(row) = cursor.next() {
+            assert!(cursor.resident_chunks() <= 1, "row {}", got.len());
+            got.push(row);
+        }
+        assert_eq!(got, direct);
+        // Batches that straddle chunk boundaries hold no more.
+        let mut cursor = share.attach(&t);
+        let mut got = Vec::new();
+        while cursor.next_batch(300, &mut got) {
+            assert!(cursor.resident_chunks() <= 1, "row {}", got.len());
+        }
+        assert_eq!(got, direct);
+        assert_eq!(cursor.resident_chunks(), 0, "a finished cursor detaches");
+    }
+
+    #[test]
+    fn a_late_attacher_rereads_the_released_prefix() {
+        let t = table(5 * CHUNK_ROWS);
+        let share = Arc::new(ScanShare::new());
+        let direct = direct(&t);
+        let mut early = share.attach(&t);
+        let mut early_rows = Vec::new();
+        assert!(early.next_batch(3 * CHUNK_ROWS + 10, &mut early_rows));
+        // Chunks 0..3 are gone; chunk 3 is resident.
+        assert_eq!(early.resident_chunks(), 1);
+        let late = share.attach(&t);
+        assert_eq!(share.stats().shared_attaches.load(Ordering::Relaxed), 1);
+        assert_eq!(drain(late), direct);
+        // The late cursor kept chunks 3 and 4 resident for the early one.
+        assert_eq!(early.resident_chunks(), 2);
+        early_rows.extend(drain(early));
+        assert_eq!(early_rows, direct);
+        let stats = share.stats();
+        // Five chunks read once, plus the late cursor's private re-read
+        // of the three it missed.
+        assert_eq!(
+            stats.rows_produced.load(Ordering::Relaxed),
+            8 * CHUNK_ROWS as u64
+        );
+        assert_eq!(
+            stats.rows_served.load(Ordering::Relaxed),
+            10 * CHUNK_ROWS as u64
+        );
+    }
+
+    #[test]
+    fn reset_after_a_chunk_boundary_replays_the_same_rows() {
+        let t = table(3 * CHUNK_ROWS + 5);
+        let share = Arc::new(ScanShare::new());
+        let direct = direct(&t);
+        let mut cursor = share.attach(&t);
+        let mut rows = Vec::new();
+        assert!(cursor.next_batch(CHUNK_ROWS + 100, &mut rows));
+        cursor.reset();
+        rows.clear();
+        while cursor.next_batch(777, &mut rows) {}
+        assert_eq!(rows, direct);
+        // Rewinding a finished (detached) cursor attaches it again.
+        cursor.reset();
+        assert_eq!(drain(cursor), direct);
+        assert_eq!(share.stats().attaches.load(Ordering::Relaxed), 2);
     }
 
     #[test]

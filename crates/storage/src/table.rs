@@ -1,12 +1,14 @@
 //! Tables: in-memory heaps and paged (disk-backed) row stores behind
 //! one scan/lookup interface.
 
-use crate::codec::decode_row;
+use crate::codec::RowDecoder;
 use crate::error::{StorageError, StorageResult};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
-use qp_pager::{read_cell, BufferPool, PageId, Pager};
+use qp_pager::{read_cell, BufferPool, PageId, PageRef, Pager};
+use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Position of a row within its table's heap. Stable: this engine is
@@ -59,18 +61,63 @@ pub(crate) struct PagedRows {
 }
 
 impl PagedRows {
-    fn row(&self, rid: u64) -> Row {
-        let page = self.first_data_page + rid / self.rows_per_page;
-        let slot = (rid % self.rows_per_page) as usize;
-        let frame = self
-            .pool
+    fn page_of(&self, rid: RowId) -> PageId {
+        self.first_data_page + rid / self.rows_per_page
+    }
+
+    fn pin(&self, page: PageId) -> PageRef<'_> {
+        self.pool
             .get(&self.pager, page)
-            .unwrap_or_else(|e| panic!("paged read of page {page}: {e}"));
-        let cell = read_cell(&frame, slot)
-            .unwrap_or_else(|| panic!("row {rid}: no cell {slot} in page {page}"));
-        decode_row(cell).unwrap_or_else(|e| panic!("row {rid}: {e}"))
+            .unwrap_or_else(|e| panic!("paged read of page {page}: {e}"))
+    }
+
+    /// Decodes row `rid` out of its pinned page image.
+    fn decode(&self, frame: &PageRef<'_>, rid: RowId, decoder: &mut RowDecoder) -> Row {
+        let slot = (rid % self.rows_per_page) as usize;
+        let cell = read_cell(frame, slot)
+            .unwrap_or_else(|| panic!("row {rid}: no cell {slot} in page {}", self.page_of(rid)));
+        decoder
+            .decode(cell)
+            .unwrap_or_else(|e| panic!("row {rid}: {e}"))
+    }
+
+    fn row(&self, rid: RowId) -> Row {
+        let frame = self.pin(self.page_of(rid));
+        ROW_DECODER.with_borrow_mut(|decoder| self.decode(&frame, rid, decoder))
+    }
+
+    /// Appends the rows `rids` names, pinning each page once per run of
+    /// consecutive rids on it. The previous page is unpinned before the
+    /// next is pinned, so the pool sees the same sequence of distinct
+    /// page accesses as row-at-a-time reads, minus the repeats.
+    fn read_into(
+        &self,
+        rids: impl Iterator<Item = RowId>,
+        decoder: &mut RowDecoder,
+        out: &mut Vec<Row>,
+    ) {
+        let mut pinned: Option<(PageId, PageRef<'_>)> = None;
+        for rid in rids {
+            let page = self.page_of(rid);
+            if pinned.as_ref().map(|(id, _)| *id) != Some(page) {
+                drop(pinned.take());
+                pinned = Some((page, self.pin(page)));
+            }
+            let (_, frame) = pinned.as_ref().expect("pinned above");
+            out.push(self.decode(frame, rid, decoder));
+        }
     }
 }
+
+thread_local! {
+    /// Decoder for single-row paged reads ([`Table::row`]); scans bring
+    /// their own.
+    static ROW_DECODER: RefCell<RowDecoder> = RefCell::new(RowDecoder::new());
+}
+
+/// Rows per step of [`Table::scan`] over a heap (a paged scan steps one
+/// page at a time).
+const HEAP_SCAN_STEP: RowId = 1024;
 
 /// A table: a schema plus rows in insertion order, stored in either the
 /// in-memory heap backend or the paged backend (see [`crate::paged`]).
@@ -237,6 +284,9 @@ impl Table {
     /// is corrupt (row ids come from this table's own indexes, so a miss
     /// is a logic error, not a user error — and corruption is caught by
     /// WAL recovery at open, not at read time).
+    ///
+    /// Reading many rows? [`Table::read_range`] and [`Table::read_rids`]
+    /// pin each page once instead of once per row.
     #[inline]
     pub fn row(&self, rid: RowId) -> Row {
         if self.stall_every.load(std::sync::atomic::Ordering::Relaxed) != 0 {
@@ -245,6 +295,42 @@ impl Table {
         match &self.backend {
             Backend::Heap(rows) => rows[rid as usize].clone(),
             Backend::Paged(p) => p.row(rid),
+        }
+    }
+
+    /// Appends rows `range` in insertion order to `out`: the rows
+    /// [`Table::row`] returns for each rid, read page at a time. A paged
+    /// read pins each page once and decodes its cells with `decoder`,
+    /// which the caller keeps across calls of one scan.
+    pub fn read_range(&self, range: Range<RowId>, decoder: &mut RowDecoder, out: &mut Vec<Row>) {
+        out.reserve(range.end.saturating_sub(range.start) as usize);
+        self.read_into(range, decoder, out);
+    }
+
+    /// Appends the rows `rids` names, in that order, to `out`. A paged
+    /// read pins a page once per run of consecutive rids on it (an index
+    /// scan over a clustered key reads page at a time).
+    pub fn read_rids(&self, rids: &[RowId], decoder: &mut RowDecoder, out: &mut Vec<Row>) {
+        out.reserve(rids.len());
+        self.read_into(rids.iter().copied(), decoder, out);
+    }
+
+    fn read_into(
+        &self,
+        rids: impl Iterator<Item = RowId>,
+        decoder: &mut RowDecoder,
+        out: &mut Vec<Row>,
+    ) {
+        // The simulated stall stays per row, as in `row`.
+        let stalled = self.stall_every.load(std::sync::atomic::Ordering::Relaxed) != 0;
+        let rids = rids.inspect(|_| {
+            if stalled {
+                self.stall_read();
+            }
+        });
+        match &self.backend {
+            Backend::Heap(rows) => out.extend(rids.map(|rid| rows[rid as usize].clone())),
+            Backend::Paged(p) => p.read_into(rids, decoder, out),
         }
     }
 
@@ -285,9 +371,18 @@ impl Table {
         self.heap_rows()
     }
 
-    /// Iterator over `(rid, row)` in insertion order, on any backend.
+    /// Iterator over `(rid, row)` in insertion order, on any backend,
+    /// read a page at a time through [`Table::read_range`].
     pub fn scan(&self) -> impl Iterator<Item = (RowId, Row)> + '_ {
-        (0..self.len() as RowId).map(move |rid| (rid, self.row(rid)))
+        let len = self.len() as RowId;
+        let step = self.page_rows().unwrap_or(HEAP_SCAN_STEP);
+        let mut decoder = RowDecoder::new();
+        (0..len).step_by(step as usize).flat_map(move |start| {
+            let end = (start + step).min(len);
+            let mut rows = Vec::new();
+            self.read_range(start..end, &mut decoder, &mut rows);
+            (start..end).zip(rows)
+        })
     }
 
     /// Splits the heap into `n` contiguous, non-overlapping row-id ranges

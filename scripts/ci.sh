@@ -84,4 +84,10 @@ grep -q "PASS: .* connections served with zero protocol errors" <<<"$load_out"
 echo "==> BENCH_service.json gate (the load run must have recorded a passing verdict)"
 grep -q '"gate":"pass"' BENCH_service.json
 
+echo "==> served-path smoke (servebench unit tests, then a 3 s paged_scan run through the service;"
+echo "    servebench exits non-zero on any oracle, Property 4 or monotone-STATUS violation)"
+cargo test -q --offline --manifest-path servebench/Cargo.toml
+cargo run --release --offline -q --manifest-path servebench/Cargo.toml -- \
+    --workload paged_scan --seed 1 --seconds 3 --trace 0
+
 echo "CI OK"
