@@ -3,9 +3,9 @@
 use crate::context::{CancelToken, Counted, ExecContext, Observer, Operator, RunControls};
 use crate::error::{ExecError, ExecResult};
 use crate::ops::{
-    ExchangeOp, ExchangeWorker, FilterOp, HashAggregateOp, HashJoinOp, IndexNestedLoopsOp,
-    IndexRangeScanOp, LimitOp, MergeJoinOp, MorselIndexScanOp, MorselSeqScanOp, NestedLoopsOp,
-    ProjectOp, SeqScanOp, SharedSeqScanOp, SortOp, StreamAggregateOp, NO_MORSEL,
+    Claims, ExchangeOp, ExchangeWorker, FilterOp, HashAggregateOp, HashJoinOp, IndexNestedLoopsOp,
+    Input, LimitOp, MergeJoinOp, NestedLoopsOp, ProjectOp, ScanOp, SortOp, StreamAggregateOp,
+    NO_MORSEL,
 };
 use crate::plan::{NodeId, Plan, PlanNode};
 use qp_storage::{Database, MorselDispenser, Row};
@@ -70,7 +70,7 @@ impl QueryRun {
             }
             None => (0, 0, 0),
         };
-        let root = build_node(plan, plan.root(), db, &ctx, &exchanges)?;
+        let root = build_node(plan, plan.root(), db, &ctx, &exchanges, None)?;
         Ok(QueryRun {
             ctx,
             root,
@@ -224,38 +224,65 @@ impl ExchangeLayout {
     }
 }
 
+/// Where the scan leaf of an Exchange worker's chain claims its input:
+/// the exchange's shared dispenser, and the cell the worker publishes
+/// each claimed morsel index through.
+struct Morsels<'a> {
+    dispenser: &'a Arc<MorselDispenser>,
+    tag: &'a Arc<AtomicUsize>,
+}
+
+impl Morsels<'_> {
+    fn claims(&self, fork: &Arc<ExecContext>) -> Claims {
+        Claims::Morsels {
+            dispenser: Arc::clone(self.dispenser),
+            ctx: Arc::clone(fork),
+            tag: Arc::clone(self.tag),
+        }
+    }
+}
+
+/// Instantiates the subtree rooted at `id`. Inside an Exchange, `ctx` is
+/// the worker's fork and `morsels` names the exchange's dispenser: the
+/// scan leaf then claims morsels instead of its whole input.
 fn build_node(
     plan: &Plan,
     id: NodeId,
     db: &Database,
     ctx: &Arc<ExecContext>,
     exchanges: &ExchangeLayout,
+    morsels: Option<&Morsels>,
 ) -> ExecResult<Counted> {
     let data = plan.node(id);
     let child = |i: usize| -> ExecResult<Counted> {
-        build_node(plan, data.children[i], db, ctx, exchanges)
+        build_node(plan, data.children[i], db, ctx, exchanges, morsels)
     };
     let op: Box<dyn Operator> = match &data.kind {
-        // Serial full scans route through the shared-scan registry when
-        // the context carries one (row-for-row identical to a direct
-        // scan; see `SharedSeqScanOp`). Parallel plans use the morsel
-        // variants below instead — work stealing already amortizes the
-        // pass across that query's own workers.
-        PlanNode::SeqScan { table, .. } => match ctx.scan_share() {
-            Some(share) => Box::new(SharedSeqScanOp::new(db.table(table)?, Arc::clone(share))),
-            None => Box::new(SeqScanOp::new(db.table(table)?)),
-        },
+        // A serial heap scan replays the shared-scan registry's epoch
+        // when the context carries one. A worker scan claims morsels
+        // instead: work stealing already amortizes the pass across that
+        // query's own workers.
+        PlanNode::SeqScan { table, .. } => {
+            let claims = match (morsels, ctx.scan_share()) {
+                (Some(m), _) => m.claims(ctx),
+                (None, Some(share)) => Claims::Shared {
+                    share: Arc::clone(share),
+                    cursor: None,
+                },
+                (None, None) => Claims::Whole,
+            };
+            Box::new(ScanOp::new(db.table(table)?, Input::Heap, claims))
+        }
         PlanNode::IndexRangeScan {
             table,
             index,
             lo,
             hi,
             ..
-        } => Box::new(IndexRangeScanOp::new(
+        } => Box::new(ScanOp::new(
             db.table(table)?,
-            db.index(index)?,
-            lo.clone(),
-            hi.clone(),
+            Input::index(db.index(index)?, lo.clone(), hi.clone()),
+            morsels.map_or(Claims::Whole, |m| m.claims(ctx)),
         )),
         PlanNode::Filter { predicate } => Box::new(FilterOp::new(child(0)?, predicate.clone())),
         PlanNode::Project { exprs } => Box::new(ProjectOp::new(
@@ -352,8 +379,13 @@ fn build_node(
                 }
             }
             // One shared dispenser per exchange: workers steal morsels of
-            // the leaf's input from it instead of owning static ranges.
-            let dispenser = Arc::new(subtree_dispenser(plan, subtree_root, db, ctx)?);
+            // the leaf's input from it.
+            let dispenser = Arc::new(MorselDispenser::unbound(exchange_morsel_rows(
+                plan,
+                subtree_root,
+                db,
+                ctx,
+            )?));
             // This exchange's share of the fault schedule, shared by all
             // of its workers: points split per-*morsel* at claim time, so
             // each point fires in exactly one morsel of one exchange no
@@ -365,7 +397,11 @@ fn build_node(
             for _ in 0..n {
                 let fork = ExecContext::fork(ctx, exchange_faults.clone());
                 let tag = Arc::new(AtomicUsize::new(NO_MORSEL));
-                let chain = build_partition(plan, subtree_root, db, &fork, &dispenser, &tag)?;
+                let morsels = Morsels {
+                    dispenser: &dispenser,
+                    tag: &tag,
+                };
+                let chain = build_node(plan, subtree_root, db, &fork, exchanges, Some(&morsels))?;
                 workers.push(ExchangeWorker { chain, tag });
             }
             let op = ExchangeOp::new(workers, data.schema.clone(), ctx.tuning().batch_rows);
@@ -387,36 +423,32 @@ fn subtree_nodes(plan: &Plan, id: NodeId) -> Vec<NodeId> {
     out
 }
 
-/// Builds the shared [`MorselDispenser`] for an Exchange subtree by
-/// walking its Filter/Project chain down to the scan leaf: a heap scan's
-/// input length is known from the catalog up front; an index range scan
-/// learns its rid count at `open`, so its dispenser starts unbound and
-/// every worker binds it (first wins, the rest validate).
-fn subtree_dispenser(
+/// The morsel size for an Exchange subtree, found by walking its
+/// Filter/Project chain down to the scan leaf; anything else in the
+/// subtree cannot run as morsels. On a paged heap the size is rounded up
+/// to whole pages, so no two workers contend for (and re-fault) the same
+/// page. Every worker binds the dispenser to its input length at `open`.
+fn exchange_morsel_rows(
     plan: &Plan,
     mut id: NodeId,
     db: &Database,
     ctx: &Arc<ExecContext>,
-) -> ExecResult<MorselDispenser> {
+) -> ExecResult<usize> {
     let morsel_rows = ctx.tuning().morsel_rows;
     loop {
         let data = plan.node(id);
         match &data.kind {
             PlanNode::Filter { .. } | PlanNode::Project { .. } => id = data.children[0],
             PlanNode::SeqScan { table, .. } => {
-                let t = db.table(table)?;
-                // Align morsels to page boundaries on paged tables so no
-                // two workers contend for (and re-fault) the same page.
-                let morsel_rows = match t.page_rows() {
+                return Ok(match db.table(table)?.page_rows() {
                     Some(per_page) if per_page > 0 => {
                         let per_page = per_page as usize;
                         morsel_rows.div_ceil(per_page).saturating_mul(per_page)
                     }
                     _ => morsel_rows,
-                };
-                return Ok(MorselDispenser::new(t.len(), morsel_rows));
+                });
             }
-            PlanNode::IndexRangeScan { .. } => return Ok(MorselDispenser::unbound(morsel_rows)),
+            PlanNode::IndexRangeScan { .. } => return Ok(morsel_rows),
             other => {
                 return Err(ExecError::BadPlan(format!(
                     "Exchange subtree contains non-partitionable operator {}",
@@ -425,59 +457,4 @@ fn subtree_dispenser(
             }
         }
     }
-}
-
-/// Instantiates one worker chain for an Exchange subtree: the same
-/// operator chain as the serial subtree, with the leaf replaced by its
-/// morsel-stealing variant pulling from the exchange's shared `dispenser`
-/// and publishing claims through `tag`, every wrapper counting into
-/// `fork`'s shared per-node atomics.
-fn build_partition(
-    plan: &Plan,
-    id: NodeId,
-    db: &Database,
-    fork: &Arc<ExecContext>,
-    dispenser: &Arc<MorselDispenser>,
-    tag: &Arc<AtomicUsize>,
-) -> ExecResult<Counted> {
-    let data = plan.node(id);
-    let op: Box<dyn Operator> = match &data.kind {
-        PlanNode::SeqScan { table, .. } => Box::new(MorselSeqScanOp::new(
-            db.table(table)?,
-            Arc::clone(dispenser),
-            Arc::clone(fork),
-            Arc::clone(tag),
-        )),
-        PlanNode::IndexRangeScan {
-            table,
-            index,
-            lo,
-            hi,
-            ..
-        } => Box::new(MorselIndexScanOp::new(
-            db.table(table)?,
-            db.index(index)?,
-            lo.clone(),
-            hi.clone(),
-            Arc::clone(dispenser),
-            Arc::clone(fork),
-            Arc::clone(tag),
-        )),
-        PlanNode::Filter { predicate } => Box::new(FilterOp::new(
-            build_partition(plan, data.children[0], db, fork, dispenser, tag)?,
-            predicate.clone(),
-        )),
-        PlanNode::Project { exprs } => Box::new(ProjectOp::new(
-            build_partition(plan, data.children[0], db, fork, dispenser, tag)?,
-            exprs.iter().map(|(e, _)| e.clone()).collect(),
-            data.schema.clone(),
-        )),
-        other => {
-            return Err(ExecError::BadPlan(format!(
-                "Exchange subtree contains non-partitionable operator {}",
-                other.op_name()
-            )))
-        }
-    };
-    Ok(Counted::new(op, id, Arc::clone(fork)))
 }

@@ -1,9 +1,11 @@
 //! # qp-exec — instrumented iterator-model query executor
 //!
-//! A single-threaded Volcano-style executor over [`qp_storage`] with the
-//! physical operator set of Section 2.1 of the paper: `scan`, `index-seek`
-//! (range scan), `σ` (filter), `π` (project), `⋈NL`, `⋈INL`, `⋈hash`,
-//! `⋈merge`, `sort`, and `γ` (group-by aggregation), plus `limit`.
+//! A Volcano-style executor over [`qp_storage`] with the physical operator
+//! set of Section 2.1 of the paper: `scan`, `index-seek` (range scan), `σ`
+//! (filter), `π` (project), `⋈NL`, `⋈INL`, `⋈hash`, `⋈merge`, `sort`, and
+//! `γ` (group-by aggregation), plus `limit`. Both leaf kinds are one scan
+//! operator over a row source; an `Exchange` runs scan chains on worker
+//! threads that claim morsels of the leaf's input (see [`parallel`]).
 //!
 //! ## The GetNext model of work
 //!

@@ -5,8 +5,8 @@
 //! [`Counted`] tree over a forked execution context that shares the
 //! query's counters and checkpoint schedule, with the leaf pulling
 //! fixed-size morsels from a shared [`qp_storage::MorselDispenser`] —
-//! dynamic work stealing instead of the static range split of PR 5, so
-//! skewed per-row cost no longer turns one worker into the critical path.
+//! dynamic work stealing, so skewed per-row cost does not turn one worker
+//! into the critical path.
 //! `open` runs every worker to exhaustion on its own scoped thread (each
 //! under `catch_unwind`, so one worker's panic cannot strand its
 //! siblings), collects each worker's output as *segments* tagged with the

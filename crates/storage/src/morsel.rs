@@ -1,9 +1,8 @@
 //! Morsel-at-a-time work distribution for parallel scans.
 //!
-//! Static range partitioning (see [`Table::partition_ranges`]) assigns each
-//! worker a fixed slice of the heap up front. That is the simplest scheme
-//! that keeps parallel results byte-identical to a serial scan, but it
-//! collapses under skewed per-row cost: with Zipf-distributed work the
+//! Handing each worker a fixed slice of the input up front is the simplest
+//! scheme that keeps parallel results byte-identical to a serial scan, but
+//! it collapses under skewed per-row cost: with Zipf-distributed work the
 //! worker that drew the hot ranks becomes the critical path while its
 //! siblings idle (the paper's Section 7 "uniformity of work" caveat, made
 //! concrete in `BENCH_parallel.json`'s cpu-bound rows).
@@ -28,7 +27,6 @@
 //! operators in `qp-exec` turn a claimed [`Morsel`] into reads against a
 //! [`Table`] heap slice or a slice of an index's row-id list.
 //!
-//! [`Table::partition_ranges`]: crate::table::Table::partition_ranges
 //! [`Table`]: crate::table::Table
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -73,12 +71,12 @@ impl Morsel {
 /// assignment step, so the degree of "stealing" adapts to however unevenly
 /// the per-morsel work is distributed.
 ///
-/// For inputs whose length is only known at open time (an index range scan
-/// learns its row-id count after walking the B+Tree), construct with
-/// [`unbound`] and have each worker [`bind`] the length before claiming;
-/// the first bind wins and the rest are validated no-ops, which is safe
-/// exactly because every worker derives the identical length from shared
-/// immutable state.
+/// The input length is known only when a worker opens its scan (an index
+/// range scan learns its row-id count after walking the B+Tree), so a
+/// dispenser is constructed [`unbound`] and each worker [`bind`]s the
+/// length before claiming; the first bind wins and the rest are validated
+/// no-ops, which is safe exactly because every worker derives the
+/// identical length from shared immutable state.
 ///
 /// [`claim`]: MorselDispenser::claim
 /// [`unbound`]: MorselDispenser::unbound
@@ -96,17 +94,6 @@ pub struct MorselDispenser {
 }
 
 impl MorselDispenser {
-    /// A dispenser over a known input length. `size = 0` means one
-    /// whole-input morsel.
-    pub fn new(len: usize, size: usize) -> MorselDispenser {
-        assert!(len < UNBOUND, "input length collides with UNBOUND sentinel");
-        MorselDispenser {
-            size: Self::normalize(size),
-            len: AtomicUsize::new(len),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
     /// A dispenser whose input length will be supplied later via
     /// [`MorselDispenser::bind`]. Claiming before binding panics.
     pub fn unbound(size: usize) -> MorselDispenser {
@@ -138,7 +125,7 @@ impl MorselDispenser {
         }
     }
 
-    /// True once the input length is known (constructed sized, or bound).
+    /// True once the input length is known.
     pub fn is_bound(&self) -> bool {
         self.len.load(Ordering::Acquire) != UNBOUND
     }
@@ -187,10 +174,16 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    fn bound(len: usize, size: usize) -> MorselDispenser {
+        let d = MorselDispenser::unbound(size);
+        d.bind(len);
+        d
+    }
+
     #[test]
     fn claims_are_disjoint_covering_and_in_order() {
         for (len, size) in [(10, 3), (10, 1), (10, 10), (10, 64), (7, 2), (1, 1)] {
-            let d = MorselDispenser::new(len, size);
+            let d = bound(len, size);
             let mut claimed = Vec::new();
             while let Some(m) = d.claim() {
                 claimed.push(m);
@@ -212,7 +205,7 @@ mod tests {
 
     #[test]
     fn zero_size_means_one_whole_input_morsel() {
-        let d = MorselDispenser::new(42, 0);
+        let d = bound(42, 0);
         assert_eq!(d.morsel_count(), 1);
         let m = d.claim().unwrap();
         assert_eq!((m.index, m.start, m.end), (0, 0, 42));
@@ -221,7 +214,7 @@ mod tests {
 
     #[test]
     fn oversized_morsel_degrades_to_whole_input() {
-        let d = MorselDispenser::new(5, usize::MAX);
+        let d = bound(5, usize::MAX);
         assert_eq!(d.morsel_count(), 1);
         assert_eq!(d.claim().unwrap().len(), 5);
         assert!(d.claim().is_none());
@@ -229,7 +222,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_no_morsels() {
-        let d = MorselDispenser::new(0, 8);
+        let d = bound(0, 8);
         assert_eq!(d.morsel_count(), 0);
         assert!(d.claim().is_none());
     }
@@ -262,7 +255,7 @@ mod tests {
 
     #[test]
     fn concurrent_claims_partition_the_input_exactly_once() {
-        let d = Arc::new(MorselDispenser::new(10_000, 7));
+        let d = Arc::new(bound(10_000, 7));
         let workers = 4;
         let per_worker: Vec<Vec<Morsel>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)

@@ -390,23 +390,6 @@ impl SharedCursor {
     }
 }
 
-impl Iterator for SharedCursor {
-    type Item = Row;
-
-    /// The next row in insertion order, or `None` at the end.
-    fn next(&mut self) -> Option<Row> {
-        if self.pos >= self.len {
-            self.leave();
-            return None;
-        }
-        let offset = self.pos % CHUNK_ROWS;
-        let row = self.load_chunk()[offset].clone();
-        self.pos += 1;
-        self.served(1);
-        Some(row)
-    }
-}
-
 impl Drop for SharedCursor {
     fn drop(&mut self) {
         self.leave();
@@ -427,8 +410,11 @@ mod tests {
         Arc::new(t)
     }
 
+    /// Every row the cursor has left, read one row per batch.
     fn drain(mut cursor: SharedCursor) -> Vec<Row> {
-        std::iter::from_fn(|| cursor.next()).collect()
+        let mut rows = Vec::new();
+        while cursor.next_batch(1, &mut rows) {}
+        rows
     }
 
     #[test]
@@ -484,7 +470,7 @@ mod tests {
         let mut quitter = share.attach(&t);
         let survivor = share.attach(&t);
         for _ in 0..10 {
-            quitter.next();
+            quitter.next_batch(1, &mut Vec::new());
         }
         drop(quitter);
         let direct: Vec<Row> = (0..t.len()).map(|rid| t.row(rid as RowId)).collect();
@@ -497,7 +483,7 @@ mod tests {
         let share = Arc::new(ScanShare::new());
         let mut cursor = share.attach(&t);
         for _ in 0..30 {
-            cursor.next();
+            cursor.next_batch(1, &mut Vec::new());
         }
         cursor.reset();
         let direct: Vec<Row> = (0..t.len()).map(|rid| t.row(rid as RowId)).collect();
@@ -517,11 +503,15 @@ mod tests {
         let direct = direct(&t);
         let mut cursor = share.attach(&t);
         let mut got = Vec::new();
-        while let Some(row) = cursor.next() {
+        loop {
+            let more = cursor.next_batch(1, &mut got);
             assert!(cursor.resident_chunks() <= 1, "row {}", got.len());
-            got.push(row);
+            if !more {
+                break;
+            }
         }
         assert_eq!(got, direct);
+        assert_eq!(cursor.resident_chunks(), 0, "a finished cursor detaches");
         // Batches that straddle chunk boundaries hold no more.
         let mut cursor = share.attach(&t);
         let mut got = Vec::new();
@@ -586,6 +576,9 @@ mod tests {
         let share = Arc::new(ScanShare::new());
         let mut cursor = share.attach(&t);
         assert!(cursor.is_empty());
-        assert_eq!(cursor.next(), None);
+        let mut rows = Vec::new();
+        assert!(!cursor.next_batch(1, &mut rows));
+        assert!(rows.is_empty());
+        assert_eq!(cursor.resident_chunks(), 0, "a finished cursor detaches");
     }
 }

@@ -385,26 +385,6 @@ impl Table {
         })
     }
 
-    /// Splits the heap into `n` contiguous, non-overlapping row-id ranges
-    /// `[start, end)` that cover the table in insertion order. The first
-    /// `len % n` ranges get one extra row, so partition sizes differ by at
-    /// most one. Concatenating the partitions in order reproduces the
-    /// serial scan order exactly — the invariant parallel scans rely on to
-    /// keep results byte-identical to a serial run.
-    pub fn partition_ranges(&self, n: usize) -> Vec<(usize, usize)> {
-        let n = n.max(1);
-        let len = self.len();
-        let (base, extra) = (len / n, len % n);
-        let mut ranges = Vec::with_capacity(n);
-        let mut start = 0;
-        for p in 0..n {
-            let size = base + usize::from(p < extra);
-            ranges.push((start, start + size));
-            start += size;
-        }
-        ranges
-    }
-
     /// Reorders the rows of the table in place according to `perm`, where
     /// the new row `i` is the old row `perm[i]`. Invalidates indexes; the
     /// catalog rebuilds them. Used by the data generators to realize the
@@ -479,34 +459,6 @@ mod tests {
             .map(|r| r.get(0).as_i64().unwrap())
             .collect();
         assert_eq!(got, vec![3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn partition_ranges_cover_the_table_in_order() {
-        let mut tab = t();
-        for i in 0..10 {
-            tab.insert(Row::new(vec![Value::Int(i), Value::str("x")]))
-                .unwrap();
-        }
-        for n in [1, 2, 3, 4, 7, 10, 16] {
-            let ranges = tab.partition_ranges(n);
-            assert_eq!(ranges.len(), n);
-            let mut expect_start = 0;
-            for &(start, end) in &ranges {
-                assert_eq!(start, expect_start, "ranges must be contiguous");
-                assert!(end >= start);
-                expect_start = end;
-            }
-            assert_eq!(expect_start, tab.len(), "ranges must cover the heap");
-            let sizes: Vec<usize> = ranges.iter().map(|(s, e)| e - s).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(
-                max - min <= 1,
-                "sizes must differ by at most one: {sizes:?}"
-            );
-        }
-        // Degenerate request: n = 0 behaves as 1.
-        assert_eq!(tab.partition_ranges(0), vec![(0, 10)]);
     }
 
     #[test]

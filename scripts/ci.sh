@@ -27,8 +27,9 @@ cargo test -q --offline --workspace
 echo "==> bench smoke (no --bench flag: compile + skip)"
 cargo test -q --offline -p qp-bench --benches
 
-echo "==> parallel equivalence suite (rows/counters/total(Q) byte-identical to serial)"
-cargo test -q --offline --test parallel_equivalence
+echo "==> scan-source equivalence (whole/morsel/shared claims over heap and index inputs:"
+echo "    rows/counters/total(Q) byte-identical to the serial one-row-batch run)"
+cargo test -q --offline --test parallel_equivalence --test batch_equivalence
 
 echo "==> parallel_speedup smoke (equivalence at degrees 1/2/4; report-only, not a perf gate)"
 cargo test -q --offline -p qp-bench --bench parallel_speedup
